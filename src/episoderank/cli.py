@@ -45,6 +45,16 @@ def _load_candidates(args: argparse.Namespace, dataset: datagen.Dataset) -> mine
     return candidates
 
 
+def _load_dataset(args: argparse.Namespace) -> datagen.Dataset:
+    """Load the corpus and refuse --exact past the limit before any mining starts."""
+    dataset = datagen.load_sequences(args.data)
+    if args.exact and dataset.num_sequences > ranking.EXACT_LIMIT:
+        raise datagen.DataError(
+            f"--exact supports at most {ranking.EXACT_LIMIT} sequences "
+            f"(dataset has {dataset.num_sequences})")
+    return dataset
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -101,15 +111,11 @@ def _default_threads() -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    dataset = datagen.load_sequences(args.data)
+    dataset = _load_dataset(args)
     candidates = _load_candidates(args, dataset)
-    if args.exact and dataset.num_sequences > ranking.EXACT_LIMIT:
-        raise datagen.DataError(
-            f"--exact supports at most {ranking.EXACT_LIMIT} sequences "
-            f"(dataset has {dataset.num_sequences})")
 
-    header = [_echo(args, ["data", "min_support", "max_len", "max_size", "exact",
-                           "log10", "threads"]),
+    mining = ["min_support", "max_len", "max_size"] if args.mine else []
+    header = [_echo(args, ["data", *mining, "exact", "log10", "threads"]),
               f"candidates={len(candidates)} sequences={dataset.num_sequences}"]
     if not args.no_timestamp:
         header.append("generated-at " + datetime.now(timezone.utc).isoformat())
@@ -180,7 +186,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    dataset = datagen.load_sequences(args.data)
+    dataset = _load_dataset(args)
     candidates = _load_candidates(args, dataset)
     target = next((c for c in candidates if c.eid == args.id), None)
     if target is None:

@@ -2,10 +2,11 @@
 
 The observed support is a sum of independent per-sequence Bernoulli indicators
 whose success probabilities depend only on sequence length, so its exact law is
-Poisson-binomial. The rank of an episode under a model is the negative log
-survival probability of the observed support; large rank = the model considers
-the support abnormally high. The combined rank takes the best explanation over
-all prefix partitions and all same-vertex stricter candidates.
+Poisson-binomial: a convolution of one binomial per length class. The rank of
+an episode under a model is the negative log survival probability of the
+observed support; large rank = the model considers the support abnormally high.
+The combined rank takes the best explanation over all prefix partitions and all
+same-vertex stricter candidates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, log_ndtr
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
 from scipy.stats import kendalltau as _scipy_kendalltau
 
 from .datagen import Dataset
@@ -55,12 +57,6 @@ class CoverProbabilities:
         return sum(c * self.p_by_length[k] * (1.0 - self.p_by_length[k])
                    for k, c in self.length_counts.items())
 
-    def per_sequence(self) -> list[float]:
-        out = []
-        for k in sorted(self.length_counts):
-            out.extend([self.p_by_length[k]] * self.length_counts[k])
-        return out
-
 
 def cover_probabilities(machine: Machine, params: ModelParams, spec: PartitionSpec,
                         dataset: Dataset) -> CoverProbabilities:
@@ -76,29 +72,56 @@ def cover_probabilities(machine: Machine, params: ModelParams, spec: PartitionSp
 
 # --- tail probabilities -----------------------------------------------------------
 
-def tail_exact(probs, n: int) -> float:
-    """Log survival P(sum of Bernoulli(p_i) >= n), by count DP in log space.
+_BAND_CELLS = 1 << 20  # cells per block of the banded convolution: 8 MB of float64
 
-    Mass reaching n successes is absorbed as it appears, so the result is a sum
-    of positive terms and stays accurate even when astronomically small.
+
+def tail_exact(probs, n: int, counts=None) -> float:
+    """Log survival P(X >= n), X the sum of independent Binomial(counts[k], probs[k]).
+
+    ``counts`` defaults to one per probability (a Poisson-binomial over single
+    sequences); grouping sequences of equal cover probability costs one banded
+    convolution per class instead of one step per sequence. Mass reaching n
+    successes is absorbed class by class, so the result is a sum of positive
+    terms and stays accurate even when astronomically small.
     """
-    m = len(probs)
+    probs = np.asarray(probs, dtype=float)
+    counts = np.ones(len(probs), dtype=int) if counts is None else np.asarray(counts, dtype=int)
     if n <= 0:
         return 0.0
-    if n > m:
+    if n > counts.sum():
         return -math.inf
-    with np.errstate(divide="ignore"):
-        log_p = np.log(np.asarray(probs, dtype=float))
-        log_q = np.log1p(-np.asarray(probs, dtype=float))
     log_f = np.full(n, -np.inf)
     log_f[0] = 0.0  # log P(j successes so far), j = 0..n-1
     absorbed = -np.inf
-    for lp, lq in zip(log_p, log_q):
-        absorbed = np.logaddexp(absorbed, log_f[n - 1] + lp)
-        if n > 1:
-            log_f[1:] = np.logaddexp(log_f[1:] + lq, log_f[:-1] + lp)
-        log_f[0] += lq
+    log_fact = gammaln(np.arange(counts.max() + 1) + 1.0)
+    for p, c in zip(probs, counts):
+        if c == 0:
+            continue
+        j = np.arange(c + 1)
+        log_pmf = (log_fact[c] - log_fact[:c + 1] - log_fact[c::-1]
+                   + xlogy(j, p) + xlog1py(c - j, -p))
+        log_sf = np.logaddexp.accumulate(log_pmf[::-1])[::-1]  # log P(Bin >= x)
+        # gammaln rounding scales the whole pmf by 1 + O(c eps); renormalise
+        log_pmf -= log_sf[0]
+        log_sf -= log_sf[0]
+        lo = max(0, n - c)  # counts below lo cannot reach n within this class
+        absorbed = np.logaddexp(absorbed, _log_sum_exp(log_f[lo:] + log_sf[n - lo:0:-1]))
+        # new log_f[j] = log sum_b exp(log_f[j - b] + log_pmf[b]) over b < width
+        width = min(c, n - 1) + 1
+        padded = np.concatenate((np.full(width - 1, -np.inf), log_f))
+        windows = sliding_window_view(padded, width)  # row j holds log_f[j-width+1..j]
+        rows = max(1, _BAND_CELLS // width)  # bound the temporary at large supports
+        log_f = np.concatenate([_log_sum_exp(windows[i:i + rows] + log_pmf[width - 1::-1])
+                                for i in range(0, n, rows)])
     return float(absorbed)
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log(sum(exp(terms))) over the last axis, max-shifted; all -inf gives -inf."""
+    top = terms.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(terms - top).sum(axis=-1)) + top[..., 0]
 
 
 def tail_normal(mu: float, sigma2: float, n: float) -> float:
@@ -173,11 +196,13 @@ def rank_from_cover(cp: CoverProbabilities, observed: int, exact: bool = False,
     mu, sigma2 = cp.mu, cp.sigma2
     zscore = (observed - 0.5 - mu) / math.sqrt(sigma2) if sigma2 > 0 else None
     if exact:
-        probs = cp.per_sequence()
-        if len(probs) > exact_limit:
+        lengths = sorted(cp.length_counts)
+        counts = [cp.length_counts[k] for k in lengths]
+        if sum(counts) > exact_limit:
             raise EpisodeError(
-                f"exact tail limited to {exact_limit} sequences, dataset has {len(probs)}")
-        method, log_surv = "exact", tail_exact(probs, observed)
+                f"exact tail limited to {exact_limit} sequences, dataset has {sum(counts)}")
+        method, log_surv = "exact", tail_exact([cp.p_by_length[k] for k in lengths],
+                                               observed, counts)
     elif mu <= POISSON_MU_MAX:
         method, log_surv = "poisson", tail_poisson(mu, observed)
     else:
@@ -389,7 +414,10 @@ def _fmt(x: float, log10: bool = False) -> str:
 
 
 def sort_rows(rows: list[EpisodeRanking]) -> list[EpisodeRanking]:
-    return sorted(rows, key=lambda r: (-r.part.rank, -r.ind.rank, r.eid))
+    """Worst-explained first, comparing ranks as printed (10 significant digits)
+    so that rows which print alike are ordered by id, not by last-ulp noise."""
+    return sorted(rows, key=lambda r: (-float(_fmt(r.part.rank)), -float(_fmt(r.ind.rank)),
+                                       r.eid))
 
 
 def render_report(rows: list[EpisodeRanking], header_lines: list[str] = (),

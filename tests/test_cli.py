@@ -109,6 +109,37 @@ class TestRankCommand:
         body = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
         assert len(body) > 1
 
+    def test_header_echoes_mining_flags_only_with_mine(self, workspace, tmp_path):
+        root, corpus, eps = workspace
+        plain, mined = tmp_path / "plain.tsv", tmp_path / "mined.tsv"
+        assert main(_rank_args(corpus, eps, plain)) == 0
+        assert main(_rank_args(corpus, eps, mined) + ["--mine", "--min-support", "8",
+                                                      "--max-len", "2", "--max-size", "0"]) == 0
+        plain_header = plain.read_text().splitlines()[0]
+        assert plain_header.startswith("# rank data=")
+        assert "min-support" not in plain_header and "max-len" not in plain_header
+        assert "max-size" not in plain_header
+        assert "min-support=8 max-len=2 max-size=0" in mined.read_text().splitlines()[0]
+
+    def test_exact_limit_checked_before_mining(self, workspace, monkeypatch):
+        from episoderank import miner, ranking
+
+        root, corpus, eps = workspace
+        calls = []
+
+        def no_mining(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("mined before the --exact limit was checked")
+
+        monkeypatch.setattr(ranking, "EXACT_LIMIT", 10)
+        monkeypatch.setattr(miner, "mine_serial", no_mining)
+        monkeypatch.setattr(miner, "mine_parallel", no_mining)
+        assert main(["rank", "--data", str(corpus), "--mine", "--exact",
+                     "--threads", "1", "--no-timestamp"]) == 2
+        assert main(["explain", "--data", str(corpus), "--episodes", str(eps), "--mine",
+                     "--exact", "--id", "planted4"]) == 2
+        assert calls == []
+
 
 class TestMineCommand:
     def test_writes_episode_file(self, workspace, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from episoderank.datagen import dataset_from_strings
-from episoderank.episodes import make_episode, parallel, serial
+from episoderank.episodes import EpisodeError, make_episode, parallel, serial
 from episoderank.machine import build_machine, support
 from episoderank.miner import CandidateSet
 from episoderank.model import (
@@ -17,6 +17,8 @@ from episoderank.model import (
 )
 from episoderank.ranking import (
     CoverProbabilities,
+    EpisodeRanking,
+    RankResult,
     cover_probabilities,
     kendall_tau,
     parse_report,
@@ -103,6 +105,81 @@ class TestTailExact:
     def test_deep_tail_stays_finite(self):
         log_s = tail_exact([0.001] * 2000, 50)
         assert math.isfinite(log_s) and log_s < -100
+
+
+def _sequential_dp(probs, n):
+    """Reference: one absorbing count-DP step per Bernoulli, in log space."""
+    if n <= 0:
+        return 0.0
+    if n > len(probs):
+        return -math.inf
+    log_f = np.full(n, -np.inf)
+    log_f[0] = 0.0
+    absorbed = -np.inf
+    with np.errstate(divide="ignore"):
+        for p in probs:
+            lp, lq = math.log(p) if p > 0 else -math.inf, math.log1p(-p) if p < 1 else -math.inf
+            absorbed = np.logaddexp(absorbed, log_f[n - 1] + lp)
+            log_f[1:] = np.logaddexp(log_f[1:] + lq, log_f[:-1] + lp)
+            log_f[0] += lq
+    return float(absorbed)
+
+
+class TestTailExactGrouped:
+    def test_equals_per_sequence_expansion(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            k = int(rng.integers(1, 8))
+            ps = rng.uniform(0.0, 0.3, size=k)
+            cs = rng.integers(1, 60, size=k)
+            expanded = list(np.repeat(ps, cs))
+            mu = float(ps @ cs)
+            for n in (int(mu) + 1, int(mu + 3 * math.sqrt(mu)) + 2, int(3 * mu) + 5):
+                grouped = tail_exact(ps, n, cs)
+                assert grouped == pytest.approx(tail_exact(expanded, n), rel=1e-12)
+                assert grouped == pytest.approx(_sequential_dp(expanded, n), rel=1e-12)
+
+    def test_mixed_classes_match_enumeration(self):
+        ps, cs = [0.3, 0.7, 0.05, 0.0, 1.0, 0.5], [3, 2, 4, 1, 1, 0]
+        flat = [p for p, c in zip(ps, cs) for _ in range(c)]
+        for n in range(len(flat) + 2):
+            brute = 0.0
+            for bits in itertools.product([0, 1], repeat=len(flat)):
+                if sum(bits) >= n:
+                    brute += math.prod(p if b else 1.0 - p for b, p in zip(bits, flat))
+            assert math.exp(tail_exact(ps, n, cs)) == pytest.approx(brute, abs=1e-12)
+
+    def test_deep_tail_against_high_precision(self):
+        import mpmath as mp
+
+        mp.mp.dps = 50
+        ps, cs = [0.01, 0.015, 0.02, 0.03], [50, 50, 50, 50]
+        pmf = [mp.mpf(1)]
+        for p, c in zip(ps, cs):
+            p = mp.mpf(p)
+            binom = [mp.binomial(c, j) * p ** j * (1 - p) ** (c - j) for j in range(c + 1)]
+            pmf = [mp.fsum(pmf[i] * binom[t - i]
+                           for i in range(max(0, t - c), min(t, len(pmf) - 1) + 1))
+                   for t in range(len(pmf) + c)]
+        for n in (40, 120):
+            expected = float(mp.log(mp.fsum(pmf[n:])))
+            assert expected < -50
+            assert tail_exact(ps, n, cs) == pytest.approx(expected, rel=1e-10)
+
+    def test_near_certain_survival_has_no_rounding_bias(self):
+        # P(X >= n) = 1 - 0.7**c to double precision: the log-factorials of a
+        # large class must not leave a 1e-13 offset, which would print as a rank
+        for c in (500, 3000):
+            for n in (1, 5):
+                assert abs(tail_exact([0.3, 0.01], n, [c, 400])) < 1e-15
+
+    def test_degenerate_classes(self):
+        assert tail_exact([0.0, 0.5], 1, [5, 2]) == pytest.approx(math.log(0.75), abs=1e-15)
+        assert tail_exact([1.0, 0.5], 3, [2, 2]) == pytest.approx(math.log(0.75), abs=1e-15)
+        assert tail_exact([0.9, 0.5], 1, [0, 2]) == pytest.approx(math.log(0.75), abs=1e-15)
+        assert tail_exact([1.0], 3, [3]) == 0.0
+        assert tail_exact([0.0], 1, [5]) == -math.inf
+        assert tail_exact([0.5, 0.2], 6, [3, 2]) == -math.inf
 
 
 class TestTailNormal:
@@ -193,8 +270,17 @@ class TestRank:
         cp = CoverProbabilities({2: 0.0}, {2: 3})
         from episoderank.ranking import rank_from_cover
 
-        r = rank_from_cover(cp, 2)
-        assert r.mu == 0.0 and r.rank == math.inf
+        for exact in (False, True):
+            r = rank_from_cover(cp, 2, exact=exact)
+            assert r.mu == 0.0 and r.rank == math.inf
+
+    def test_exact_limit_counts_sequences(self):
+        from episoderank.ranking import rank_from_cover
+
+        cp = CoverProbabilities({2: 0.5, 3: 0.6}, {2: 2, 3: 2})
+        assert rank_from_cover(cp, 1, exact=True, exact_limit=4).method == "exact"
+        with pytest.raises(EpisodeError):
+            rank_from_cover(cp, 1, exact=True, exact_limit=3)
 
 
 class TestRankCombined:
@@ -351,6 +437,14 @@ class TestReport:
         rows = sort_rows(self._rows())
         ranks = [r.part.rank for r in rows]
         assert ranks == sorted(ranks, reverse=True)
+
+    def test_ties_at_printed_precision_sort_by_id(self):
+        x = 12.345678901234
+        rows = [EpisodeRanking(eid, serial("a"), 3,
+                               RankResult(1.0, 1.0, 3, r, "exact", "independence"),
+                               RankResult(1.0, 1.0, 3, r, "exact", "independence"))
+                for eid, r in (("b", math.nextafter(x, math.inf)), ("a", x))]
+        assert [r.eid for r in sort_rows(rows)] == ["a", "b"]
 
     def test_render_parse_round_trip(self):
         text = render_report(self._rows(), ["config"])
