@@ -55,6 +55,15 @@ def _load_dataset(args: argparse.Namespace) -> datagen.Dataset:
     return dataset
 
 
+def _int_list(text: str) -> list[int]:
+    """argparse type for comma-separated integers."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -64,11 +73,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    counts = None
-    if args.plant_counts:
-        counts = [int(tok) for tok in args.plant_counts.split(",")]
     config = datagen.default_config(args.kind, args.seed, num_sequences=args.num_sequences,
-                                    counts=counts, gap_p=args.gap_p)
+                                    counts=args.plant_counts, gap_p=args.gap_p)
     dataset = datagen.generate(config)
     datagen.save_dataset(dataset, args.out)
     if args.episodes_out:
@@ -103,11 +109,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
             fh.write(json.dumps(obj) + "\n")
     print(f"mined {len(candidates)} episodes to {args.out}")
     return EXIT_OK
-
-
-def _default_threads() -> int:
-    env = os.environ.get("EPISODERANK_THREADS")
-    return int(env) if env else 1
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -203,8 +204,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     if args.block_w is not None:
         w_mask = 0
-        for tok in args.block_w.split(","):
-            w_mask |= 1 << int(tok)
+        for v in args.block_w:
+            w_mask |= 1 << v
         if w_mask not in masks and not args.allow_non_prefix:
             raise datagen.DataError(
                 "--block-w is not a prefix graph (pass --allow-non-prefix to force)")
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--num-sequences", type=int, default=None)
     p.add_argument("--gap-p", type=float, default=0.0)
-    p.add_argument("--plant-counts", default=None,
+    p.add_argument("--plant-counts", type=_int_list, default=None,
                    help="comma-separated occurrence counts, one per pattern")
     p.add_argument("--episodes-out", default=None,
                    help="also write the planted episodes as JSONL")
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--merge-intersections", action="store_true")
     p.add_argument("--exact", action="store_true", help="exact tail instead of approximations")
     p.add_argument("--log10", action="store_true", help="display ranks in log10")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=os.environ.get("EPISODERANK_THREADS") or "1")
     p.add_argument("--no-timestamp", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rank)
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--exact", action="store_true")
     p.add_argument("--log10", action="store_true")
-    p.add_argument("--block-w", default=None,
+    p.add_argument("--block-w", type=_int_list, default=None,
                    help="comma-separated vertex ids: show the boosted edge set for W")
     p.add_argument("--allow-non-prefix", action="store_true",
                    help="expert: allow --block-w sets that are not prefix graphs")

@@ -71,7 +71,7 @@ class Dataset:
 
     @property
     def total_events(self) -> int:
-        return sum(len(s) for s in self.sequences)
+        return sum(k * c for k, c in self.length_counts().items())
 
     def length_counts(self) -> dict[int, int]:
         if self._length_counts is None:

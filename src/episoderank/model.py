@@ -192,73 +192,55 @@ class ModelParams:
         }
 
 
-# --- boost signatures ---------------------------------------------------------
+# --- conditional distributions -------------------------------------------------
 
-def boost_signatures(machine: Machine, spec: PartitionSpec,
-                     collapsed: CollapsedAlphabet) -> list[tuple[tuple, tuple]]:
-    """Per state: which classes its outgoing edges boost with t1 / with t2.
+def boost_masks(machine: Machine, spec: PartitionSpec,
+                collapsed: CollapsedAlphabet) -> np.ndarray:
+    """``bool[2, S, K]``: True where state H has an outgoing edge labelled k in
+    C1 (layer 0) or C2 (layer 1)."""
+    masks = np.zeros((2, machine.num_states, collapsed.size), dtype=bool)
+    for layer, edge_set in enumerate((spec.c1, spec.c2)):
+        for idx in edge_set:
+            e = machine.edges[idx]
+            masks[layer, e.src, collapsed.class_of(e.label)] = True
+    return masks
 
-    The conditional distribution of a state depends on the parameters only
-    through this signature, so states sharing one can be pooled.
+
+def log_conditionals(u: np.ndarray, t1: float, t2: float, masks: np.ndarray) -> np.ndarray:
+    """``[S, K]`` array of log p(k | H), one row per state.
+
+    The outgoing labels of a state are distinct, so no class of a state is
+    boosted by both t1 and t2. The log partition function is taken as
+    ``m + log1p(sum over k != argmax of exp(z_k - m))``: when one class carries
+    almost all the mass, ``log`` of a sum near 1 would lose the small terms to
+    rounding, enough to stall Newton steps near the optimum.
     """
-    l1: list[set] = [set() for _ in range(machine.num_states)]
-    l2: list[set] = [set() for _ in range(machine.num_states)]
-    for idx in spec.c1:
-        e = machine.edges[idx]
-        l1[e.src].add(collapsed.class_of(e.label))
-    for idx in spec.c2:
-        e = machine.edges[idx]
-        l2[e.src].add(collapsed.class_of(e.label))
-    return [(tuple(sorted(a)), tuple(sorted(b))) for a, b in zip(l1, l2)]
+    z = u + t1 * masks[0] + t2 * masks[1]
+    shifted = z - z.max(axis=1, keepdims=True)
+    rest = np.exp(shifted)
+    np.put_along_axis(rest, shifted.argmax(axis=1)[:, None], 0.0, axis=1)
+    return shifted - np.log1p(rest.sum(axis=1, keepdims=True))
 
 
-def _log_dist(u: np.ndarray, t1: float, t2: float, sig: tuple[tuple, tuple]) -> np.ndarray:
-    z = u.copy()
-    if sig[0]:
-        z[list(sig[0])] += t1
-    if sig[1]:
-        z[list(sig[1])] += t2
-    m = z.max()
-    return z - (m + np.log(np.exp(z - m).sum()))
-
-
-def state_distribution(params: ModelParams, machine: Machine, spec: PartitionSpec,
-                       state: int) -> np.ndarray:
-    """Probability over collapsed classes of the next event in this state."""
-    sig = boost_signatures(machine, spec, params.collapsed)[state]
-    return np.exp(_log_dist(params.u, params.t1, params.t2, sig))
+def _model_log_conditionals(params: ModelParams, machine: Machine,
+                            spec: PartitionSpec) -> np.ndarray:
+    return log_conditionals(params.u, params.t1, params.t2,
+                            boost_masks(machine, spec, params.collapsed))
 
 
 def conditional_label_prob(params: ModelParams, machine: Machine, spec: PartitionSpec,
                            state: int, label: str) -> float:
     """Probability of one model class (an episode label or ``*``) given a state."""
     cls = params.collapsed.classes.index(label)
-    return float(state_distribution(params, machine, spec, state)[cls])
+    return float(np.exp(_model_log_conditionals(params, machine, spec)[state, cls]))
 
 
 # --- likelihood, gradient, hessian ---------------------------------------------
 
-def _grouped(machine: Machine, spec: PartitionSpec, stats: StateStats):
-    """Aggregate statistics over states sharing a boost signature."""
-    sigs = boost_signatures(machine, spec, stats.collapsed)
-    groups: dict[tuple, list[int]] = {}
-    for state, sig in enumerate(sigs):
-        if stats.c[state] > 0:
-            groups.setdefault(sig, []).append(state)
-    out = []
-    for sig in sorted(groups):
-        members = groups[sig]
-        out.append((sig, stats.n[members].sum(axis=0), float(stats.c[members].sum())))
-    return out
-
-
 def log_likelihood(stats: StateStats, params: ModelParams, machine: Machine,
                    spec: PartitionSpec) -> float:
     """Sum over states of ``n . log p(. | H)``."""
-    total = 0.0
-    for sig, n, _c in _grouped(machine, spec, stats):
-        total += float(n @ _log_dist(params.u, params.t1, params.t2, sig))
-    return total
+    return float((stats.n * _model_log_conditionals(params, machine, spec)).sum())
 
 
 def _free_layout(params: ModelParams) -> list[int]:
@@ -272,35 +254,22 @@ def gradient_hessian(stats: StateStats, params: ModelParams, machine: Machine,
     """Gradient and (negative semidefinite) hessian of the log-likelihood.
 
     Coordinates follow :func:`_free_layout`: per-class weights with the pinned
-    coordinate removed, then the two transition boosts. Per pooled state group
-    the contribution is ``d = (n - c v, J(n - c v))`` and ``-c [[V - v v', VJ' -
-    v w'], [JV - w v', W - w w']]`` where ``v`` is the conditional distribution,
-    ``J`` the boosted-class indicator and ``w = J v``.
+    coordinate removed, then the two transition boosts. With ``V`` the
+    conditional distributions (one row per state), ``B_i`` the boost masks,
+    ``R = n - cV`` and ``W_i = rowsum(V B_i)``, the gradient is ``(colsum R,
+    sum R B_i)`` and the curvature blocks are ``diag(sum cV) - V'cV``, ``sum
+    cV B_i - (cV)'W_i`` and ``diag(sum cW) - W'cW``.
     """
-    K = params.collapsed.size
-    dim = K + 2
-    grad = np.zeros(dim)
-    curv = np.zeros((dim, dim))  # accumulates the positive-definite part
-    for sig, n, c in _grouped(machine, spec, stats):
-        v = np.exp(_log_dist(params.u, params.t1, params.t2, sig))
-        r = n - c * v
-        grad[:K] += r
-        w = np.zeros(2)
-        for i, cls_list in enumerate(sig):
-            if cls_list:
-                idx = list(cls_list)
-                grad[K + i] += r[idx].sum()
-                w[i] = v[idx].sum()
-        vv = c * np.outer(v, v)
-        curv[:K, :K] += np.diag(c * v) - vv
-        for i, cls_list in enumerate(sig):
-            col = -c * v * w[i]
-            if cls_list:
-                idx = list(cls_list)
-                col[idx] += c * v[idx]
-            curv[:K, K + i] += col
-            curv[K + i, :K] += col
-        curv[K:, K:] += c * (np.diag(w) - np.outer(w, w))
+    masks = boost_masks(machine, spec, stats.collapsed)
+    V = np.exp(log_conditionals(params.u, params.t1, params.t2, masks))
+    cV = stats.c[:, None] * V
+    R = stats.n - cV
+    W = (V * masks).sum(axis=2).T  # [S, 2] boosted mass per state
+    cW = stats.c[:, None] * W
+    grad = np.concatenate([R.sum(axis=0), (R * masks).sum(axis=(1, 2))])
+    cross = (cV * masks).sum(axis=1).T - cV.T @ W
+    curv = np.block([[np.diag(cV.sum(axis=0)) - V.T @ cV, cross],
+                     [cross.T, np.diag(cW.sum(axis=0)) - W.T @ cW]])
     layout = _free_layout(params)
     return grad[layout], -curv[np.ix_(layout, layout)]
 
@@ -344,7 +313,11 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     u[pinned] = 0.0
     x = np.concatenate([u, [0.0, 0.0]])  # full layout: classes then t1, t2
 
-    layout = [k for k in range(K) if k != pinned] + [K, K + 1]
+    def make_params(vec: np.ndarray) -> ModelParams:
+        return ModelParams(collapsed, vec[:K].copy(), float(vec[K]), float(vec[K + 1]), pinned)
+
+    params = make_params(x)
+    layout = _free_layout(params)
     # coordinates allowed to move: observed classes, boosts with edges
     movable = np.zeros(K + 2, dtype=bool)
     movable[:K] = nz
@@ -353,19 +326,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     movable[K + 1] = bool(spec.c2)
     movable_in_layout = movable[layout]
 
-    groups = _grouped(machine, spec, stats)
-
-    def loglik(vec: np.ndarray) -> float:
-        uu, tt1, tt2 = vec[:K], vec[K], vec[K + 1]
-        total = 0.0
-        for sig, n, _c in groups:
-            total += float(n @ _log_dist(uu, tt1, tt2, sig))
-        return total
-
-    def make_params(vec: np.ndarray) -> ModelParams:
-        return ModelParams(collapsed, vec[:K].copy(), float(vec[K]), float(vec[K + 1]), pinned)
-
-    ll = loglik(x)
+    ll = log_likelihood(stats, params, machine, spec)
     if not np.isfinite(ll):
         raise NumericalFitError("non-finite likelihood at the starting point")
 
@@ -389,7 +350,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
             trial[free] = np.clip(trial[free] + alpha * step, -t_cap, t_cap)
             x_new = x.copy()
             x_new[layout] = trial
-            ll_new = loglik(x_new)
+            ll_new = log_likelihood(stats, make_params(x_new), machine, spec)
             if not np.isfinite(ll_new):
                 raise NumericalFitError("non-finite likelihood during line search")
             if ll_new >= ll:
@@ -408,23 +369,12 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
 def transition_rates(machine: Machine, params: ModelParams,
                      spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-state stay probability and per-edge traversal probability."""
-    sigs = boost_signatures(machine, spec, params.collapsed)
-    dist_cache: dict[tuple, np.ndarray] = {}
-    edge_p = np.zeros(len(machine.edges))
-    stay = np.ones(machine.num_states)
-    for state in range(machine.num_states):
-        sig = sigs[state]
-        dist = dist_cache.get(sig)
-        if dist is None:
-            dist = np.exp(_log_dist(params.u, params.t1, params.t2, sig))
-            dist_cache[sig] = dist
-        acc = 0.0
-        for idx in machine.out_edges[state]:
-            p = float(dist[params.collapsed.class_of(machine.edges[idx].label)])
-            edge_p[idx] = p
-            acc += p
-        stay[state] = max(1.0 - acc, 0.0)
-    return stay, edge_p
+    log_p = _model_log_conditionals(params, machine, spec)
+    src = np.array([e.src for e in machine.edges], dtype=np.int64)
+    cls = np.array([params.collapsed.class_of(e.label) for e in machine.edges], dtype=np.int64)
+    edge_p = np.exp(log_p[src, cls])
+    leave = np.bincount(src, weights=edge_p, minlength=machine.num_states)
+    return np.maximum(1.0 - leave, 0.0), edge_p
 
 
 def transition_rates_from_probs(machine: Machine,
@@ -471,17 +421,11 @@ def reach_probabilities(machine: Machine, params: ModelParams, spec: PartitionSp
 def sequence_log_prob(machine: Machine, params: ModelParams, spec: PartitionSpec,
                       sequence: Iterable[str]) -> float:
     """Log-probability of a concrete event sequence under the model."""
-    sigs = boost_signatures(machine, spec, params.collapsed)
-    log_cache: dict[tuple, np.ndarray] = {}
+    log_p = _model_log_conditionals(params, machine, spec)
     state = machine.source
     total = 0.0
     for symbol in sequence:
-        sig = sigs[state]
-        ld = log_cache.get(sig)
-        if ld is None:
-            ld = _log_dist(params.u, params.t1, params.t2, sig)
-            log_cache[sig] = ld
-        total += float(ld[params.collapsed.class_of(symbol)])
+        total += float(log_p[state, params.collapsed.class_of(symbol)])
         nxt = machine.out[state].get(symbol)
         if nxt is not None:
             state = nxt

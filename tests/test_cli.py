@@ -257,3 +257,26 @@ class TestExitCodes:
         assert main(_rank_args(corpus, bad, out)) == 2
         rc = main(_rank_args(corpus, bad, out) + ["--strictify"])
         assert rc == 0
+
+    def test_malformed_plant_counts_is_usage_error(self, tmp_path, capsys):
+        rc = main(["generate", "--kind", "plant", "--plant-counts", "a,b,c",
+                   "--out", str(tmp_path / "corpus.txt")])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "corpus.txt").exists()
+
+    def test_malformed_block_w_is_usage_error(self, workspace, capsys):
+        root, corpus, eps = workspace
+        rc = main(["explain", "--data", str(corpus), "--episodes", str(eps),
+                   "--id", "planted4", "--block-w", "x"])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_threads_environment_is_usage_error(self, workspace, tmp_path,
+                                                          monkeypatch, capsys):
+        root, corpus, eps = workspace
+        monkeypatch.setenv("EPISODERANK_THREADS", "two")
+        rc = main(["rank", "--data", str(corpus), "--episodes", str(eps),
+                   "--no-timestamp", "--out", str(tmp_path / "out.tsv")])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
