@@ -14,7 +14,6 @@ from .episodes import (
     save_episodes,
     serial,
     strictify,
-    transitive_closure,
     transitive_reduction,
 )
 from .machine import (
@@ -23,30 +22,25 @@ from .machine import (
     block_super,
     brute_force_covers,
     build_machine,
-    covers,
-    greedy,
     support,
 )
-from .miner import CandidateSet, count_supports, merge_serial_intersections, mine_parallel, mine_serial
+from .miner import CandidateSet, merge_serial_intersections, mine_parallel, mine_serial
 from .model import (
     EMPTY_SPEC,
     ModelParams,
     PartitionSpec,
     StateStats,
     collapse_alphabet,
-    conditional_label_prob,
     fit,
     gradient_hessian,
     log_likelihood,
     reach_probabilities,
-    state_statistics,
 )
 from .ranking import (
     RankResult,
     cover_probabilities,
     kendall_tau,
     rank,
-    rank_combined,
     rank_episode,
     rank_many,
     rho_eta,

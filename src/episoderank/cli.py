@@ -30,18 +30,26 @@ def _echo(args: argparse.Namespace, keys: list[str]) -> str:
     return " ".join(parts)
 
 
+def _mine(args: argparse.Namespace, dataset: datagen.Dataset,
+          candidates: miner.CandidateSet) -> None:
+    """Add the serial, parallel and (optionally) merged episodes the flags ask for."""
+    if args.max_len >= 1:
+        for cand in miner.mine_serial(dataset, args.min_support, args.max_len):
+            candidates.add(cand.eid, cand.episode, cand.support)
+    if args.max_size >= 1:
+        for cand in miner.mine_parallel(dataset, args.min_support, args.max_size):
+            candidates.add(cand.eid, cand.episode, cand.support)
+    if args.merge_intersections:
+        miner.merge_serial_intersections(candidates, dataset, args.min_support)
+
+
 def _load_candidates(args: argparse.Namespace, dataset: datagen.Dataset) -> miner.CandidateSet:
     candidates = miner.CandidateSet()
-    for path in args.episodes or []:
+    for path in args.episodes:
         for eid, episode in episodes.load_episodes(path, auto_strictify=args.strictify):
             candidates.add(eid, episode)
     if args.mine:
-        for cand in miner.mine_serial(dataset, args.min_support, args.max_len):
-            candidates.add(cand.eid, cand.episode, cand.support)
-        for cand in miner.mine_parallel(dataset, args.min_support, args.max_size):
-            candidates.add(cand.eid, cand.episode, cand.support)
-        if args.merge_intersections:
-            miner.merge_serial_intersections(candidates, dataset, args.min_support)
+        _mine(args, dataset, candidates)
     return candidates
 
 
@@ -89,14 +97,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     dataset = datagen.load_sequences(args.data)
     candidates = miner.CandidateSet()
-    if args.max_len >= 1:
-        for cand in miner.mine_serial(dataset, args.min_support, args.max_len):
-            candidates.add(cand.eid, cand.episode, cand.support)
-    if args.max_size >= 1:
-        for cand in miner.mine_parallel(dataset, args.min_support, args.max_size):
-            candidates.add(cand.eid, cand.episode, cand.support)
-    if args.merge_intersections:
-        miner.merge_serial_intersections(candidates, dataset, args.min_support)
+    _mine(args, dataset, candidates)
     with open(args.out, "w", encoding="utf-8") as fh:
         for cand in candidates:
             obj = {
@@ -242,6 +243,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="episoderank")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # corpus and candidate flags shared by rank and explain
+    candidate_flags = argparse.ArgumentParser(add_help=False)
+    candidate_flags.add_argument("--data", required=True)
+    candidate_flags.add_argument("--strictify", action="store_true",
+                        help="auto-repair non-strict episodes on load")
+    candidate_flags.add_argument("--mine", action="store_true", help="also mine candidates")
+    candidate_flags.add_argument("--min-support", type=int, default=10)
+    candidate_flags.add_argument("--max-len", type=int, default=3)
+    candidate_flags.add_argument("--max-size", type=int, default=2)
+    candidate_flags.add_argument("--merge-intersections", action="store_true")
+    candidate_flags.add_argument("--exact", action="store_true",
+                        help="exact tail instead of approximations")
+    candidate_flags.add_argument("--log10", action="store_true", help="display ranks in log10")
+    candidate_flags.add_argument("--out", default=None)
+
     p = sub.add_parser("generate", help="write a seeded synthetic corpus")
     p.add_argument("--kind", choices=("plant", "plant2", "gap"), required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -263,22 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mine)
 
-    p = sub.add_parser("rank", help="rank candidate episodes against the corpus")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("rank", parents=[candidate_flags],
+                       help="rank candidate episodes against the corpus")
     p.add_argument("--episodes", action="append", default=[],
                    help="candidate episode JSONL (repeatable)")
-    p.add_argument("--strictify", action="store_true",
-                   help="auto-repair non-strict episodes on load")
-    p.add_argument("--mine", action="store_true", help="also mine candidates")
-    p.add_argument("--min-support", type=int, default=10)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-size", type=int, default=2)
-    p.add_argument("--merge-intersections", action="store_true")
-    p.add_argument("--exact", action="store_true", help="exact tail instead of approximations")
-    p.add_argument("--log10", action="store_true", help="display ranks in log10")
     p.add_argument("--threads", type=int, default=os.environ.get("EPISODERANK_THREADS") or "1")
     p.add_argument("--no-timestamp", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("compare", help="compare two rank reports")
@@ -293,24 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("explain", help="show the machine and every partition model")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("explain", parents=[candidate_flags],
+                       help="show the machine and every partition model")
     p.add_argument("--episodes", action="append", default=[], required=True)
-    p.add_argument("--strictify", action="store_true")
-    p.add_argument("--mine", action="store_true")
-    p.add_argument("--min-support", type=int, default=10)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-size", type=int, default=2)
-    p.add_argument("--merge-intersections", action="store_true")
     p.add_argument("--id", required=True)
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--log10", action="store_true")
     p.add_argument("--block-w", type=_int_list, default=None,
                    help="comma-separated vertex ids: show the boosted edge set for W")
     p.add_argument("--allow-non-prefix", action="store_true",
                    help="expert: allow --block-w sets that are not prefix graphs")
     p.add_argument("--dump-model", action="store_true")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_explain)
     return parser
 

@@ -8,6 +8,7 @@ NumPy PCG64 generator, so output is byte-identical across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -50,19 +51,49 @@ class Alphabet:
         return symbol in self._ids
 
 
+@dataclass(frozen=True, eq=False)
+class OccurrenceIndex:
+    """Columnar copy of a corpus with the positions of every label.
+
+    ``tokens[offsets[i]:offsets[i + 1]]`` is sequence ``i``, all sequences in
+    one flat array; ``positions[label_offsets[l]:label_offsets[l + 1]]`` are the
+    flat positions of label ``l`` in ascending order.
+    """
+
+    tokens: np.ndarray
+    offsets: np.ndarray
+    positions: np.ndarray
+    label_offsets: np.ndarray
+
+    @classmethod
+    def build(cls, sequences: Sequence[Sequence[int]], num_labels: int) -> "OccurrenceIndex":
+        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        tokens = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int32,
+                             count=int(offsets[-1]))
+        label_offsets = np.concatenate(([0], np.cumsum(np.bincount(tokens, minlength=num_labels))))
+        return cls(tokens, offsets, np.argsort(tokens, kind="stable"), label_offsets)
+
+    def positions_of(self, label_ids: Iterable[int]) -> np.ndarray:
+        """Ascending flat positions of the events carrying any of the labels."""
+        parts = [self.positions[self.label_offsets[lid]:self.label_offsets[lid + 1]]
+                 for lid in label_ids]
+        return np.sort(np.concatenate([self.positions[:0], *parts]))
+
+
 class Dataset:
     """Event sequences with an alphabet and an occurrence index.
 
-    ``sequences`` holds lists of interned label ids. The occurrence index
-    (label id -> list of (sequence, position)) is built lazily; it is what
-    makes per-episode scans cheap, since only events whose label occurs in the
-    episode can move its machine.
+    ``sequences`` holds lists of interned label ids. The occurrence index is
+    built lazily, on the first scan of an episode; it is what makes those scans
+    cheap, since only events whose label occurs in the episode can move its
+    machine.
     """
 
     def __init__(self, sequences: list[list[int]], alphabet: Alphabet):
         self.sequences = sequences
         self.alphabet = alphabet
-        self._occurrences: list[list[tuple[int, int]]] | None = None
+        self._index: OccurrenceIndex | None = None
         self._length_counts: dict[int, int] | None = None
 
     @property
@@ -81,26 +112,10 @@ class Dataset:
             self._length_counts = counts
         return self._length_counts
 
-    def occurrences(self, label_id: int) -> list[tuple[int, int]]:
-        if self._occurrences is None:
-            occ: list[list[tuple[int, int]]] = [[] for _ in range(len(self.alphabet))]
-            for i, seq in enumerate(self.sequences):
-                for j, sid in enumerate(seq):
-                    occ[sid].append((i, j))
-            self._occurrences = occ
-        if label_id < 0 or label_id >= len(self.alphabet):
-            return []
-        return self._occurrences[label_id]
-
-    def relevant_events(self, label_ids: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
-        """Per-sequence sorted (position, label id) lists for the given labels."""
-        touched: dict[int, list[tuple[int, int]]] = {}
-        for lid in label_ids:
-            for seq_idx, pos in self.occurrences(lid):
-                touched.setdefault(seq_idx, []).append((pos, lid))
-        for events in touched.values():
-            events.sort()
-        return touched
+    def index(self) -> OccurrenceIndex:
+        if self._index is None:
+            self._index = OccurrenceIndex.build(self.sequences, len(self.alphabet))
+        return self._index
 
     def tokens(self, seq_idx: int) -> list[str]:
         return [self.alphabet.symbols[sid] for sid in self.sequences[seq_idx]]

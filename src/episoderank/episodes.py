@@ -54,9 +54,6 @@ class Episode:
     def n(self) -> int:
         return len(self.labels)
 
-    def label_multiset(self) -> tuple[str, ...]:
-        return self.labels  # canonical order is sorted by label
-
     def predecessor_masks(self) -> list[int]:
         """Bitmask of (closed) predecessors per vertex."""
         preds = [0] * self.n
@@ -176,11 +173,6 @@ def serial(labels: Sequence[str]) -> Episode:
 def parallel(labels: Sequence[str]) -> Episode:
     """Edgeless episode over the given labels."""
     return make_episode(labels, [])
-
-
-def transitive_closure(episode: Episode) -> Episode:
-    """Close the edge relation (identity for stored episodes, kept for raw use)."""
-    return make_episode(episode.labels, episode.edges)
 
 
 def transitive_reduction(episode: Episode) -> frozenset[tuple[int, int]]:

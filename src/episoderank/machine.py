@@ -1,19 +1,21 @@
-"""Prefix-graph automaton over an episode: traversal, coverage, block edges.
+"""Prefix-graph automaton over an episode: states, edges, block edges.
 
 The machine's states are the episode's ancestor-closed vertex sets; an edge
 adds one vertex whose predecessors are already present and carries that
 vertex's label. For strict episodes the outgoing labels of every state are
 distinct, which makes the greedy walk (follow a matching edge if one exists,
 otherwise stay) deterministic, and a sequence matches the episode exactly when
-the walk over the whole sequence ends in the sink state.
+the walk over the whole sequence ends in the sink state. The walk itself is
+``model.collect_statistics``; ``support`` is re-exported from there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .datagen import Dataset
+import numpy as np
+
 from .episodes import (
     Episode,
     SizeCapError,
@@ -23,6 +25,7 @@ from .episodes import (
     is_strict,
     prefix_graphs,
 )
+from .model import support  # noqa: F401
 
 STATE_CAP = 65_536
 
@@ -47,13 +50,14 @@ class Machine:
         self.sink = len(states) - 1
         self.out: list[dict[str, int]] = [{} for _ in states]  # label -> dst state
         self.out_edges: list[list[int]] = [[] for _ in states]
-        self.in_edges: list[list[int]] = [[] for _ in states]
         self._edge_by_src_vertex: dict[tuple[int, int], int] = {}
         for idx, e in enumerate(edges):
             self.out[e.src][e.label] = e.dst
             self.out_edges[e.src].append(idx)
-            self.in_edges[e.dst].append(idx)
             self._edge_by_src_vertex[(e.src, e.vertex)] = idx
+        self.edge_src = np.array([e.src for e in edges], dtype=np.intp)
+        self.edge_dst = np.array([e.dst for e in edges], dtype=np.intp)
+        self._edge_classes: tuple[object, np.ndarray] | None = None
 
     @property
     def num_states(self) -> int:
@@ -63,19 +67,16 @@ class Machine:
         mask = self.states[state]
         return [self.episode.labels[v] for v in range(self.episode.n) if mask >> v & 1]
 
-    def bound_transitions(self, dataset: Dataset) -> list[dict[int, int]]:
-        """Per-state transition maps keyed by interned label id."""
-        table: list[dict[int, int]] = [{} for _ in self.states]
-        for e in self.edges:
-            lid = dataset.alphabet.id_of(e.label)
-            if lid is not None:
-                table[e.src][lid] = e.dst
-        return table
+    def edge_classes(self, collapsed) -> np.ndarray:
+        """Model class of every edge label under a collapsed alphabet.
 
-    def episode_label_ids(self, dataset: Dataset) -> list[int]:
-        ids = {dataset.alphabet.id_of(lab) for lab in self.episode.labels}
-        ids.discard(None)
-        return sorted(ids)  # type: ignore[arg-type]
+        Kept for the last alphabet asked: one episode is ranked under one
+        collapsed alphabet, and every model fitted to it reads these classes.
+        """
+        if self._edge_classes is None or self._edge_classes[0] is not collapsed:
+            classes = np.array([collapsed.class_of(e.label) for e in self.edges], dtype=np.intp)
+            self._edge_classes = (collapsed, classes)
+        return self._edge_classes[1]
 
 
 def build_machine(episode: Episode, vertex_cap: int = VERTEX_CAP,
@@ -98,22 +99,6 @@ def build_machine(episode: Episode, vertex_cap: int = VERTEX_CAP,
             edges.append(MachineEdge(i, index[mask | bit], episode.labels[v], v))
     edges.sort(key=lambda e: (e.src, e.vertex))
     return Machine(episode, states, edges)
-
-
-def greedy(machine: Machine, sequence: Iterable[str], start: int | None = None) -> int:
-    """Fold the sequence through the machine, staying put on unmatched events."""
-    state = machine.source if start is None else start
-    out = machine.out
-    for label in sequence:
-        nxt = out[state].get(label)
-        if nxt is not None:
-            state = nxt
-    return state
-
-
-def covers(machine: Machine, sequence: Iterable[str]) -> bool:
-    """True iff the greedy walk over the whole sequence reaches the sink."""
-    return greedy(machine, sequence) == machine.sink
 
 
 def brute_force_covers(episode: Episode, sequence: Sequence[str]) -> bool:
@@ -161,25 +146,6 @@ def brute_force_covers(episode: Episode, sequence: Sequence[str]) -> bool:
         return False
 
     return assign(0, 0)
-
-
-def support(machine: Machine, dataset: Dataset) -> int:
-    """Number of dataset sequences whose greedy walk reaches the sink."""
-    if machine.source == machine.sink:
-        return dataset.num_sequences
-    table = machine.bound_transitions(dataset)
-    sink = machine.sink
-    count = 0
-    for events in dataset.relevant_events(machine.episode_label_ids(dataset)).values():
-        state = machine.source
-        for _, lid in events:
-            nxt = table[state].get(lid)
-            if nxt is not None:
-                state = nxt
-                if state == sink:
-                    count += 1
-                    break
-    return count
 
 
 # --- boosted edge sets --------------------------------------------------------

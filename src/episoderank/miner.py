@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from .datagen import Dataset
 from .episodes import (
     Episode,
-    EpisodeError,
     describe,
     is_strict,
     make_episode,
@@ -23,7 +22,8 @@ from .episodes import (
     serial,
     strictify,
 )
-from .machine import build_machine, support
+from .machine import build_machine
+from .model import support
 
 
 @dataclass
@@ -210,16 +210,3 @@ def merge_serial_intersections(candidates: CandidateSet, dataset: Dataset,
                     if candidates.add(cand.eid, cand.episode, cand.support):
                         additions.append(cand)
     return additions
-
-
-def count_supports(episodes: list[tuple[str, Episode]],
-                   dataset: Dataset) -> tuple[dict[str, int], dict[str, str]]:
-    """Machine-based support per episode; size-cap failures reported per id."""
-    supports: dict[str, int] = {}
-    errors: dict[str, str] = {}
-    for eid, episode in episodes:
-        try:
-            supports[eid] = support(build_machine(episode), dataset)
-        except EpisodeError as exc:
-            errors[eid] = str(exc)
-    return supports, errors

@@ -15,12 +15,14 @@ probability the rank depends on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .datagen import Alphabet, Dataset
-from .machine import Machine
+
+if TYPE_CHECKING:
+    from .machine import Machine
 
 T_CAP = 25.0
 RIDGE = 1e-9
@@ -66,12 +68,6 @@ def collapse_alphabet(alphabet: Alphabet, episode) -> CollapsedAlphabet:
     return CollapsedAlphabet(tuple(distinct) + (STAR,), len(distinct), by_symbol)
 
 
-def identity_collapse(alphabet: Alphabet) -> CollapsedAlphabet:
-    """No collapsing: one class per alphabet symbol plus an unused catch-all."""
-    by_symbol = {sym: i for i, sym in enumerate(alphabet.symbols)}
-    return CollapsedAlphabet(tuple(alphabet.symbols) + (STAR,), len(alphabet), by_symbol)
-
-
 @dataclass(frozen=True, eq=False)
 class PartitionSpec:
     """Two disjoint boosted edge sets of a machine (either may be empty)."""
@@ -111,65 +107,59 @@ class StateStats:
 
 def collect_statistics(machine: Machine, dataset: Dataset,
                        collapsed: CollapsedAlphabet | None = None) -> tuple[StateStats, int]:
-    """One pass over the dataset: sufficient statistics plus the support count.
+    """One greedy walk of every sequence: sufficient statistics plus the support.
 
     Only events whose label occurs in the episode can move the machine, so the
-    walk jumps between their occurrences; the noise events in between are
-    credited to the current state in bulk.
+    walk reads just their occurrences from the dataset's occurrence index and
+    moves all touched sequences in lockstep, one step per event rank:
+    ``state = table[state, class]``. The other events, before, between and
+    after those, are credited in bulk to the catch-all class of the state the
+    walk sits in; sequences without any episode label stay at the source.
     """
     if collapsed is None:
         collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
-    S = machine.num_states
-    K = collapsed.size
-    star = collapsed.star
-    table = machine.bound_transitions(dataset)
-    class_of = collapsed.class_of_ids(dataset.alphabet)
+    S, K, star = machine.num_states, collapsed.size, collapsed.star
+    index = dataset.index()
+    pos = index.positions_of({dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
+                             - {None})
+    cls = collapsed.class_of_ids(dataset.alphabet)[index.tokens[pos]]
+    seq = np.searchsorted(index.offsets, pos, side="right") - 1
+    gap = np.empty_like(pos)  # events read since the previous episode event
+    gap[1:] = pos[1:] - pos[:-1] - 1
+    heads = np.flatnonzero(np.diff(seq, prepend=-1))  # first event of each touched sequence
+    gap[heads] = pos[heads] - index.offsets[seq[heads]]
+    runs = np.diff(heads, append=len(pos))
+    # longest runs first, so the sequences still walking at any rank are a prefix
+    by_run = np.argsort(-runs, kind="stable")
+    heads, runs = heads[by_run], runs[by_run]
+    last = heads + runs - 1
+    tail = index.offsets[seq[last] + 1] - pos[last] - 1
 
-    c_acc = [0] * S
-    n_acc = [[0] * K for _ in range(S)]
-    sink = machine.sink
-    covered = 0
-    touched_events = 0
-    touched_seqs = 0
+    table = np.repeat(np.arange(S)[:, None], K, axis=1)  # stay put unless an edge matches
+    table[machine.edge_src, machine.edge_classes(collapsed)] = machine.edge_dst
+    state = np.full(len(heads), machine.source)
+    before = np.empty(len(pos), dtype=np.intp)  # state each event is read in
+    for rank in range(runs.max(initial=0)):
+        walking = np.count_nonzero(runs > rank)
+        events = heads[:walking] + rank
+        before[events] = state[:walking]
+        state[:walking] = table[state[:walking], cls[events]]
 
-    for seq_idx, events in dataset.relevant_events(machine.episode_label_ids(dataset)).items():
-        length = len(dataset.sequences[seq_idx])
-        touched_events += length
-        touched_seqs += 1
-        state = machine.source
-        last = 0
-        for pos, lid in events:
-            gap = pos - last
-            if gap:
-                n_acc[state][star] += gap
-                c_acc[state] += gap
-            n_acc[state][class_of[lid]] += 1
-            c_acc[state] += 1
-            nxt = table[state].get(lid)
-            if nxt is not None:
-                state = nxt
-            last = pos + 1
-        tail = length - last
-        if tail:
-            n_acc[state][star] += tail
-            c_acc[state] += tail
-        if state == sink:
-            covered += 1
-
-    rest = dataset.total_events - touched_events
-    if rest:
-        n_acc[machine.source][star] += rest
-        c_acc[machine.source] += rest
+    cells = S * K
+    n = (np.bincount(before * K + cls, minlength=cells)
+         + np.bincount(before * K + star, weights=gap, minlength=cells)
+         + np.bincount(state * K + star, weights=tail, minlength=cells)).reshape(S, K)
+    n[machine.source, star] += dataset.total_events - len(pos) - gap.sum() - tail.sum()
     if machine.source == machine.sink:
         covered = dataset.num_sequences
+    else:
+        covered = int(np.count_nonzero(state == machine.sink))
+    return StateStats(collapsed, n.sum(axis=1), n), covered
 
-    stats = StateStats(collapsed, np.array(c_acc, dtype=float), np.array(n_acc, dtype=float))
-    return stats, covered
 
-
-def state_statistics(machine: Machine, dataset: Dataset,
-                     collapsed: CollapsedAlphabet | None = None) -> StateStats:
-    return collect_statistics(machine, dataset, collapsed)[0]
+def support(machine: Machine, dataset: Dataset) -> int:
+    """Number of dataset sequences whose greedy walk reaches the sink."""
+    return collect_statistics(machine, dataset)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,13 +216,6 @@ def _model_log_conditionals(params: ModelParams, machine: Machine,
                             spec: PartitionSpec) -> np.ndarray:
     return log_conditionals(params.u, params.t1, params.t2,
                             boost_masks(machine, spec, params.collapsed))
-
-
-def conditional_label_prob(params: ModelParams, machine: Machine, spec: PartitionSpec,
-                           state: int, label: str) -> float:
-    """Probability of one model class (an episode label or ``*``) given a state."""
-    cls = params.collapsed.classes.index(label)
-    return float(np.exp(_model_log_conditionals(params, machine, spec)[state, cls]))
 
 
 # --- likelihood, gradient, hessian ---------------------------------------------
@@ -370,26 +353,10 @@ def transition_rates(machine: Machine, params: ModelParams,
                      spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-state stay probability and per-edge traversal probability."""
     log_p = _model_log_conditionals(params, machine, spec)
-    src = np.array([e.src for e in machine.edges], dtype=np.int64)
-    cls = np.array([params.collapsed.class_of(e.label) for e in machine.edges], dtype=np.int64)
-    edge_p = np.exp(log_p[src, cls])
+    src = machine.edge_src
+    edge_p = np.exp(log_p[src, machine.edge_classes(params.collapsed)])
     leave = np.bincount(src, weights=edge_p, minlength=machine.num_states)
     return np.maximum(1.0 - leave, 0.0), edge_p
-
-
-def transition_rates_from_probs(machine: Machine,
-                                label_probs: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Same tables from directly given label probabilities (no fitting)."""
-    edge_p = np.zeros(len(machine.edges))
-    stay = np.ones(machine.num_states)
-    for state in range(machine.num_states):
-        acc = 0.0
-        for idx in machine.out_edges[state]:
-            p = label_probs.get(machine.edges[idx].label, 0.0)
-            edge_p[idx] = p
-            acc += p
-        stay[state] = 1.0 - acc
-    return stay, edge_p
 
 
 def reach_table(machine: Machine, stay: np.ndarray, edge_p: np.ndarray,
@@ -399,8 +366,7 @@ def reach_table(machine: Machine, stay: np.ndarray, edge_p: np.ndarray,
     Row ``k`` solves ``p(H, k) = stay_H p(H, k-1) + sum over incoming edges of
     p(edge) p(src, k-1)`` from the point mass on the source.
     """
-    src = np.array([e.src for e in machine.edges], dtype=np.int64)
-    dst = np.array([e.dst for e in machine.edges], dtype=np.int64)
+    src, dst = machine.edge_src, machine.edge_dst
     table = np.zeros((max_length + 1, machine.num_states))
     table[0, machine.source] = 1.0
     for k in range(1, max_length + 1):
@@ -416,17 +382,3 @@ def reach_probabilities(machine: Machine, params: ModelParams, spec: PartitionSp
                         max_length: int) -> np.ndarray:
     stay, edge_p = transition_rates(machine, params, spec)
     return reach_table(machine, stay, edge_p, max_length)
-
-
-def sequence_log_prob(machine: Machine, params: ModelParams, spec: PartitionSpec,
-                      sequence: Iterable[str]) -> float:
-    """Log-probability of a concrete event sequence under the model."""
-    log_p = _model_log_conditionals(params, machine, spec)
-    state = machine.source
-    total = 0.0
-    for symbol in sequence:
-        total += float(log_p[state, params.collapsed.class_of(symbol)])
-        nxt = machine.out[state].get(symbol)
-        if nxt is not None:
-            state = nxt
-    return total

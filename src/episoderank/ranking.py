@@ -239,6 +239,13 @@ def _prefix_label_set(machine: Machine, mask: int) -> str:
     return "{" + ",".join(labels) + "}"
 
 
+def _beats(cand: RankResult, best: RankResult | None) -> bool:
+    """True when ``cand`` ranks lower than ``best`` as printed (10 significant
+    digits): among models whose ranks print alike, the first evaluated wins,
+    not whichever carries the lowest rounding noise."""
+    return best is None or float(_fmt(cand.rank)) < float(_fmt(best.rank))
+
+
 def rank_episode(eid: str, episode: Episode, dataset: Dataset,
                  candidates: CandidateSet | None = None, exact: bool = False,
                  keep_evaluations: bool = False) -> EpisodeRanking:
@@ -278,7 +285,7 @@ def rank_episode(eid: str, episode: Episode, dataset: Dataset,
                         explainer=f"prefix:{_prefix_label_set(machine, w_mask)}")
             if keep_evaluations:
                 evaluations.append(SpecEvaluation(cand.explainer, spec, params, cand))
-        if best is None or cand.rank < best.rank:
+        if _beats(cand, best):
             best = cand
 
     if candidates is not None:
@@ -289,18 +296,12 @@ def rank_episode(eid: str, episode: Episode, dataset: Dataset,
                         explainer=f"super:{sup.eid}")
             if keep_evaluations:
                 evaluations.append(SpecEvaluation(cand.explainer, spec, params, cand))
-            if best is None or cand.rank < best.rank:
+            if _beats(cand, best):
                 best = cand
 
     part = best if best is not None else ind
     return EpisodeRanking(eid, episode, observed, ind, part,
                           evaluations if keep_evaluations else [])
-
-
-def rank_combined(episode: Episode, dataset: Dataset,
-                  candidates: CandidateSet | None = None, exact: bool = False) -> RankResult:
-    """Smallest rank over all prefix partitions and same-vertex stricter candidates."""
-    return rank_episode("", episode, dataset, candidates, exact=exact).part
 
 
 def rho_eta(r_ind: float, r_part: float) -> tuple[float, float]:

@@ -1,0 +1,165 @@
+"""Reference implementations the tests compare the library against.
+
+These are the plain, one-step-at-a-time forms of what the library computes
+with arrays, plus small wrappers that only tests use.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+import numpy as np
+
+from episoderank.datagen import Alphabet, Dataset
+from episoderank.episodes import Episode, EpisodeError, make_episode
+from episoderank.machine import Machine, build_machine
+from episoderank.miner import CandidateSet
+from episoderank.model import (
+    STAR,
+    CollapsedAlphabet,
+    ModelParams,
+    PartitionSpec,
+    StateStats,
+    boost_masks,
+    collapse_alphabet,
+    log_conditionals,
+    support,
+)
+from episoderank.ranking import RankResult, rank_episode
+
+
+def transitive_closure(episode: Episode) -> Episode:
+    """Close the edge relation (identity for stored episodes)."""
+    return make_episode(episode.labels, episode.edges)
+
+
+def greedy(machine: Machine, sequence: Iterable[str], start: int | None = None) -> int:
+    """Fold the sequence through the machine, staying put on unmatched events."""
+    state = machine.source if start is None else start
+    for label in sequence:
+        state = machine.out[state].get(label, state)
+    return state
+
+
+def covers(machine: Machine, sequence: Iterable[str]) -> bool:
+    """True iff the greedy walk over the whole sequence reaches the sink."""
+    return greedy(machine, sequence) == machine.sink
+
+
+def identity_collapse(alphabet: Alphabet) -> CollapsedAlphabet:
+    """No collapsing: one class per alphabet symbol plus an unused catch-all."""
+    by_symbol = {sym: i for i, sym in enumerate(alphabet.symbols)}
+    return CollapsedAlphabet(tuple(alphabet.symbols) + (STAR,), len(alphabet), by_symbol)
+
+
+def sequential_statistics(machine: Machine, dataset: Dataset,
+                          collapsed: CollapsedAlphabet | None = None) -> tuple[StateStats, int]:
+    """The per-event walk that ``collect_statistics`` replaced.
+
+    Each sequence with an episode label is walked one episode event at a time
+    through per-state dict transitions; the noise between those events, after
+    the last one, and in sequences without any is credited to the catch-all
+    class in bulk. Counts are exact integers, so the walker must match exactly.
+    """
+    if collapsed is None:
+        collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
+    S, K, star = machine.num_states, collapsed.size, collapsed.star
+    table: list[dict[int, int]] = [{} for _ in range(S)]
+    for e in machine.edges:
+        lid = dataset.alphabet.id_of(e.label)
+        if lid is not None:
+            table[e.src][lid] = e.dst
+    label_ids = {dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
+    class_of = collapsed.class_of_ids(dataset.alphabet)
+
+    c_acc = [0] * S
+    n_acc = [[0] * K for _ in range(S)]
+    covered = touched_events = 0
+    for seq in dataset.sequences:
+        events = [(pos, lid) for pos, lid in enumerate(seq) if lid in label_ids]
+        if not events:
+            continue
+        touched_events += len(seq)
+        state = machine.source
+        last = 0
+        for pos, lid in events:
+            gap = pos - last
+            if gap:
+                n_acc[state][star] += gap
+                c_acc[state] += gap
+            n_acc[state][class_of[lid]] += 1
+            c_acc[state] += 1
+            state = table[state].get(lid, state)
+            last = pos + 1
+        tail = len(seq) - last
+        if tail:
+            n_acc[state][star] += tail
+            c_acc[state] += tail
+        if state == machine.sink:
+            covered += 1
+
+    rest = dataset.total_events - touched_events
+    if rest:
+        n_acc[machine.source][star] += rest
+        c_acc[machine.source] += rest
+    if machine.source == machine.sink:
+        covered = dataset.num_sequences
+    return StateStats(collapsed, np.array(c_acc, dtype=float), np.array(n_acc, dtype=float)), covered
+
+
+def _log_p(params: ModelParams, machine: Machine, spec: PartitionSpec) -> np.ndarray:
+    return log_conditionals(params.u, params.t1, params.t2,
+                            boost_masks(machine, spec, params.collapsed))
+
+
+def conditional_label_prob(params: ModelParams, machine: Machine, spec: PartitionSpec,
+                           state: int, label: str) -> float:
+    """Probability of one model class (an episode label or ``*``) given a state."""
+    cls = params.collapsed.classes.index(label)
+    return float(np.exp(_log_p(params, machine, spec)[state, cls]))
+
+
+def sequence_log_prob(machine: Machine, params: ModelParams, spec: PartitionSpec,
+                      sequence: Iterable[str]) -> float:
+    """Log-probability of a concrete event sequence under the model."""
+    log_p = _log_p(params, machine, spec)
+    state = machine.source
+    total = 0.0
+    for symbol in sequence:
+        total += float(log_p[state, params.collapsed.class_of(symbol)])
+        state = machine.out[state].get(symbol, state)
+    return total
+
+
+def transition_rates_from_probs(machine: Machine,
+                                label_probs: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Stay and per-edge probabilities from directly given label probabilities."""
+    edge_p = np.zeros(len(machine.edges))
+    stay = np.ones(machine.num_states)
+    for state in range(machine.num_states):
+        acc = 0.0
+        for idx in machine.out_edges[state]:
+            p = label_probs.get(machine.edges[idx].label, 0.0)
+            edge_p[idx] = p
+            acc += p
+        stay[state] = 1.0 - acc
+    return stay, edge_p
+
+
+def rank_combined(episode: Episode, dataset: Dataset,
+                  candidates: CandidateSet | None = None, exact: bool = False) -> RankResult:
+    """Smallest rank over all prefix partitions and same-vertex stricter candidates."""
+    return rank_episode("", episode, dataset, candidates, exact=exact).part
+
+
+def count_supports(episodes: list[tuple[str, Episode]],
+                   dataset: Dataset) -> tuple[dict[str, int], dict[str, str]]:
+    """Machine-based support per episode; size-cap failures reported per id."""
+    supports: dict[str, int] = {}
+    errors: dict[str, str] = {}
+    for eid, episode in episodes:
+        try:
+            supports[eid] = support(build_machine(episode), dataset)
+        except EpisodeError as exc:
+            errors[eid] = str(exc)
+    return supports, errors

@@ -26,8 +26,6 @@ from episoderank.machine import (
     block_super,
     brute_force_covers,
     build_machine,
-    covers,
-    greedy,
     support,
 )
 from episoderank.miner import CandidateSet, mine_parallel, mine_serial
@@ -41,8 +39,6 @@ from episoderank.model import (
     gradient_hessian,
     log_likelihood,
     reach_probabilities,
-    sequence_log_prob,
-    transition_rates_from_probs,
 )
 from episoderank.ranking import (
     rank,
@@ -56,6 +52,7 @@ from episoderank.ranking import (
 )
 
 from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
+from oracles import covers, greedy, sequence_log_prob, transition_rates_from_probs
 
 GAP_SEED = 4
 PLANT_SEED = 1

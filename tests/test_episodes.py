@@ -19,12 +19,12 @@ from episoderank.episodes import (
     save_episodes,
     serial,
     strictify,
-    transitive_closure,
     transitive_reduction,
 )
 from episoderank.machine import brute_force_covers
 
 from conftest import all_sequences, random_strict_episode
+from oracles import transitive_closure
 
 # the four-vertex diamond used throughout: a before b and c, both before d
 DIAMOND_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3)]

@@ -9,13 +9,12 @@ from episoderank.machine import (
     block_super,
     brute_force_covers,
     build_machine,
-    covers,
-    greedy,
     render_machine,
     support,
 )
 
 from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
+from oracles import covers, greedy
 
 
 def diamond():
@@ -52,7 +51,7 @@ class TestBuild:
             m = build_machine(random_strict_episode(rng, "abc", 5))
             for state in range(m.num_states):
                 out = [m.edges[i].label for i in m.out_edges[state]]
-                inc = [m.edges[i].label for i in m.in_edges[state]]
+                inc = [e.label for e in m.edges if e.dst == state]
                 assert len(out) == len(set(out)) and len(inc) == len(set(inc))
 
 
@@ -101,6 +100,17 @@ class TestSupport:
     def test_empty_dataset(self):
         ds = dataset_from_strings([])
         assert support(build_machine(serial("ab")), ds) == 0
+
+    def test_matches_brute_force_on_small_instances(self):
+        # empty rows, labels absent from the corpus ("d"), repeated labels
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            rows = ["".join(rng.choice(list("abc"), size=int(rng.integers(0, 7))))
+                    for _ in range(int(rng.integers(0, 12)))]
+            ds = dataset_from_strings(rows)
+            ep = random_strict_episode(rng, "abcd", 4)
+            brute = sum(brute_force_covers(ep, row) for row in rows)
+            assert support(build_machine(ep), ds) == brute, (ep, rows)
 
     def test_monotone_under_subepisodes(self):
         rng = np.random.default_rng(8)

@@ -5,13 +5,13 @@ from episoderank.episodes import induced, make_episode, parallel, serial, strict
 from episoderank.machine import brute_force_covers, build_machine, support
 from episoderank.miner import (
     CandidateSet,
-    count_supports,
     merge_serial_intersections,
     mine_parallel,
     mine_serial,
 )
 
 from conftest import random_strict_episode
+from oracles import count_supports
 
 
 def by_episode(candidates: CandidateSet) -> dict:

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from episoderank.datagen import Alphabet, dataset_from_strings, dataset_from_token_rows
+from episoderank.datagen import (
+    Alphabet,
+    dataset_from_strings,
+    dataset_from_token_rows,
+    default_config,
+    generate,
+    plant_patterns,
+)
 from episoderank import model
 from episoderank.episodes import make_episode, parallel, serial
 from episoderank.machine import block_prefix, block_super, build_machine
@@ -19,20 +26,23 @@ from episoderank.model import (
     StateStats,
     collapse_alphabet,
     collect_statistics,
-    conditional_label_prob,
     fit,
     gradient_hessian,
-    identity_collapse,
     log_likelihood,
     reach_probabilities,
     reach_table,
-    sequence_log_prob,
-    state_statistics,
     transition_rates,
-    transition_rates_from_probs,
 )
 
 from conftest import random_strict_episode
+from oracles import (
+    conditional_label_prob,
+    greedy,
+    identity_collapse,
+    sequence_log_prob,
+    sequential_statistics,
+    transition_rates_from_probs,
+)
 
 
 def diamond():
@@ -83,14 +93,14 @@ class TestStatistics:
     def test_hand_trace(self):
         ds = dataset_from_strings(["ab"])
         m = build_machine(serial("ab"))
-        stats = state_statistics(m, ds)
+        stats = collect_statistics(m, ds)[0]
         assert stats.c.tolist() == [1.0, 1.0, 0.0]
         assert stats.n[0].tolist() == [1.0, 0.0, 0.0]  # classes a, b, *
         assert stats.n[1].tolist() == [0.0, 1.0, 0.0]
 
     def test_empty_dataset_zero(self):
         ds = dataset_from_strings([])
-        stats = state_statistics(build_machine(serial("ab")), ds)
+        stats = collect_statistics(build_machine(serial("ab")), ds)[0]
         assert stats.total_events() == 0
 
     def test_event_conservation(self):
@@ -99,7 +109,7 @@ class TestStatistics:
         ds = dataset_from_strings(rows)
         for _ in range(10):
             ep = random_strict_episode(rng, "abc", 4)
-            stats = state_statistics(build_machine(ep), ds)
+            stats = collect_statistics(build_machine(ep), ds)[0]
             assert stats.c.sum() == ds.total_events
             assert np.array_equal(stats.n.sum(axis=1), stats.c)
 
@@ -108,6 +118,51 @@ class TestStatistics:
         m = build_machine(serial("ab"))
         _, covered = collect_statistics(m, ds)
         assert covered == 2
+
+
+class TestLockstepWalker:
+    """``collect_statistics`` against the per-event walk it replaced."""
+
+    @staticmethod
+    def datasets(rng):
+        yield dataset_from_strings([])
+        yield dataset_from_strings(["", "", ""])
+        yield dataset_from_strings(["xyz", "", "zzyx"])  # no episode label anywhere
+        yield dataset_from_strings(["aaaa", "abab", "", "bbaa", "a"])
+        for _ in range(30):
+            rows = ["".join(rng.choice(list("abcxy"), size=int(rng.integers(0, 13))))
+                    for _ in range(int(rng.integers(1, 25)))]
+            yield dataset_from_strings(rows)
+
+    @staticmethod
+    def episodes(rng):
+        # "d" never occurs in the corpora; repeated labels come as chains
+        fixed = [parallel(""), serial("a"), serial("aa"), serial("aba"), serial("ad"),
+                 parallel("ab"), diamond()]
+        return fixed + [random_strict_episode(rng, "abcd", 4) for _ in range(20)]
+
+    def test_matches_sequential_oracle_exactly(self):
+        rng = np.random.default_rng(61)
+        episodes = self.episodes(rng)
+        for ds in self.datasets(rng):
+            for ep in episodes:
+                m = build_machine(ep)
+                for col in (collapse_alphabet(ds.alphabet, ep), identity_collapse(ds.alphabet)):
+                    stats, covered = collect_statistics(m, ds, col)
+                    want, want_covered = sequential_statistics(m, ds, col)
+                    assert np.array_equal(stats.n, want.n), (ep, ds.sequences)
+                    assert np.array_equal(stats.c, want.c)
+                    assert covered == want_covered
+                    assert stats.c.sum() == ds.total_events
+
+    def test_matches_oracle_on_a_planted_corpus(self):
+        ds = generate(default_config("plant", seed=3, num_sequences=300, counts=(30, 10, 6)))
+        for ep in plant_patterns() + [serial(["a", "b", "a"]), parallel(["k", "n002", "n003"])]:
+            m = build_machine(ep)
+            stats, covered = collect_statistics(m, ds)
+            want, want_covered = sequential_statistics(m, ds)
+            assert np.array_equal(stats.n, want.n) and np.array_equal(stats.c, want.c)
+            assert covered == want_covered
 
 
 class TestConditionalProb:
@@ -163,7 +218,7 @@ class TestLikelihood:
         ep = make_episode(["a", "b", "c"], [(0, 1)])
         m = build_machine(ep)
         col = collapse_alphabet(ds.alphabet, ep)
-        stats = state_statistics(m, ds, col)
+        stats = collect_statistics(m, ds, col)[0]
         spec = PartitionSpec(frozenset([0]), frozenset([1]))
         params = random_params(rng, col)
         eventwise = sum(sequence_log_prob(m, params, spec, ds.tokens(i))
@@ -202,7 +257,7 @@ class TestGradientHessian:
         ep = serial("ab")
         m = build_machine(ep)
         col = collapse_alphabet(ds.alphabet, ep)
-        stats = state_statistics(m, ds, col)
+        stats = collect_statistics(m, ds, col)[0]
         totals = stats.n.sum(axis=0)
         u = np.full(col.size, -25.0)
         nz = totals > 0
@@ -249,7 +304,7 @@ class TestFit:
         ds = dataset_from_strings(["ab", "ba", "aab", "bb", "ab"])
         ep = serial("ab")
         m = build_machine(ep)
-        stats = state_statistics(m, ds)
+        stats = collect_statistics(m, ds)[0]
         params = fit(m, EMPTY_SPEC, stats)
         totals = stats.n.sum(axis=0)
         freq = totals / totals.sum()
@@ -271,7 +326,7 @@ class TestFit:
         ds = dataset_from_token_rows(rows)
         ep = serial(["a", "b", "c", "x"])
         m = build_machine(ep)
-        stats = state_statistics(m, ds)
+        stats = collect_statistics(m, ds)[0]
         inner = block_prefix(m, 0b0111)
         params = fit(m, PartitionSpec(inner, frozenset()), stats)
         assert params.t1 == 25.0
@@ -284,7 +339,7 @@ class TestFit:
         for _ in range(10):
             ep = random_strict_episode(rng, "abc", 4)
             m = build_machine(ep)
-            stats = state_statistics(m, ds)
+            stats = collect_statistics(m, ds)[0]
             base = log_likelihood(stats, fit(m, EMPTY_SPEC, stats), m, EMPTY_SPEC)
             edges = list(range(len(m.edges)))
             rng.shuffle(edges)
@@ -385,7 +440,6 @@ class TestReach:
             spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
             table = reach_probabilities(m, params, spec, 4)
             exact = np.zeros(m.num_states)
-            from episoderank.machine import greedy
             for seq in itertools.product(col.classes, repeat=4):
                 exact[greedy(m, seq)] += math.exp(sequence_log_prob(m, params, spec, seq))
             assert np.abs(exact - table[4]).max() < 1e-12

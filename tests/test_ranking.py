@@ -23,7 +23,6 @@ from episoderank.ranking import (
     kendall_tau,
     parse_report,
     rank,
-    rank_combined,
     rank_episode,
     rank_many,
     render_report,
@@ -33,6 +32,8 @@ from episoderank.ranking import (
     tail_normal,
     tail_poisson,
 )
+
+from oracles import rank_combined
 
 # ln(1 - Phi(5)), computed with mpmath at 50 digits
 LOG_SURVIVAL_Z5 = -15.064998393988726
@@ -341,6 +342,31 @@ class TestRankCombined:
         ds = dataset_from_strings([])
         result = rank_episode("e", serial("ab"), ds, CandidateSet())
         assert result.support == 0 and result.part.rank == 0.0
+
+    def test_ranks_that_print_alike_keep_the_first_model(self, monkeypatch):
+        # each later model ranks one ulp lower than the one before: the winner
+        # must not follow that noise, but stay the first model evaluated
+        from episoderank import ranking
+
+        real_rank = ranking.rank
+        last = [12.0]
+
+        def noisy_rank(*args, explainer=ranking.INDEPENDENCE, **kwargs):
+            result = real_rank(*args, explainer=explainer, **kwargs)
+            if explainer != ranking.INDEPENDENCE:
+                result.rank = last[0] = math.nextafter(last[0], 0.0)
+            return result
+
+        monkeypatch.setattr(ranking, "rank", noisy_rank)
+        rng = np.random.default_rng(5)
+        ds = self._follower_corpus(rng)
+        candidates = CandidateSet()
+        candidates.add("serial-bac", serial("bac"))
+        result = rank_episode("abc", make_episode("abc", [(0, 2), (1, 2)]), ds, candidates,
+                              keep_evaluations=True)
+        explainers = [ev.explainer for ev in result.evaluations if ev.result.rank >= 11.0]
+        assert explainers == ["prefix:{a}", "prefix:{b}", "prefix:{a,b}", "super:serial-bac"]
+        assert result.part.explainer == "prefix:{a}"
 
     def test_rank_combined_wrapper(self):
         rng = np.random.default_rng(9)
