@@ -30,9 +30,15 @@ def _echo(args: argparse.Namespace, keys: list[str]) -> str:
     return " ".join(parts)
 
 
+class UsageError(Exception):
+    """A flag value that parses but is out of range."""
+
+
 def _mine(args: argparse.Namespace, dataset: datagen.Dataset,
           candidates: miner.CandidateSet) -> None:
     """Add the serial, parallel and (optionally) merged episodes the flags ask for."""
+    if args.min_support < 1:
+        raise UsageError(f"--min-support must be at least 1, got {args.min_support}")
     if args.max_len >= 1:
         for cand in miner.mine_serial(dataset, args.min_support, args.max_len):
             candidates.add(cand.eid, cand.episode, cand.support)
@@ -320,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except model.NumericalFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -110,11 +110,13 @@ def collect_statistics(machine: Machine, dataset: Dataset,
     """One greedy walk of every sequence: sufficient statistics plus the support.
 
     Only events whose label occurs in the episode can move the machine, so the
-    walk reads just their occurrences from the dataset's occurrence index and
-    moves all touched sequences in lockstep, one step per event rank:
-    ``state = table[state, class]``. The other events, before, between and
-    after those, are credited in bulk to the catch-all class of the state the
-    walk sits in; sequences without any episode label stay at the source.
+    walk reads just their occurrences from the dataset's occurrence index. It
+    moves all touched sequences in lockstep, one machine move per round: each
+    jumps to its next event that leaves its state, ``state = table[state,
+    class]``. A walk moves at most once per episode vertex, so the number of
+    rounds does not grow with sequence length. The other events are credited
+    in bulk to the catch-all class of the state the walk sits in; sequences
+    without any episode label stay at the source.
     """
     if collapsed is None:
         collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
@@ -124,26 +126,31 @@ def collect_statistics(machine: Machine, dataset: Dataset,
                              - {None})
     cls = collapsed.class_of_ids(dataset.alphabet)[index.tokens[pos]]
     seq = np.searchsorted(index.offsets, pos, side="right") - 1
+    group = np.cumsum(np.diff(seq, prepend=-1) != 0) - 1  # touched-sequence number of each event
+    runs = np.bincount(group)
+    last = np.cumsum(runs) - 1  # last event of each touched sequence
+    heads = last - runs + 1
     gap = np.empty_like(pos)  # events read since the previous episode event
     gap[1:] = pos[1:] - pos[:-1] - 1
-    heads = np.flatnonzero(np.diff(seq, prepend=-1))  # first event of each touched sequence
     gap[heads] = pos[heads] - index.offsets[seq[heads]]
-    runs = np.diff(heads, append=len(pos))
-    # longest runs first, so the sequences still walking at any rank are a prefix
-    by_run = np.argsort(-runs, kind="stable")
-    heads, runs = heads[by_run], runs[by_run]
-    last = heads + runs - 1
     tail = index.offsets[seq[last] + 1] - pos[last] - 1
 
     table = np.repeat(np.arange(S)[:, None], K, axis=1)  # stay put unless an edge matches
     table[machine.edge_src, machine.edge_classes(collapsed)] = machine.edge_dst
+    moves = table != np.arange(S)[:, None]
     state = np.full(len(heads), machine.source)
     before = np.empty(len(pos), dtype=np.intp)  # state each event is read in
-    for rank in range(runs.max(initial=0)):
-        walking = np.count_nonzero(runs > rank)
-        events = heads[:walking] + rank
-        before[events] = state[:walking]
-        state[:walking] = table[state[:walking], cls[events]]
+    unread = np.arange(len(pos))
+    while len(unread):
+        at = state[group[unread]]
+        hit = unread[moves[at, cls[unread]]]
+        cut = np.full(len(heads), len(pos))  # next move of each sequence, if any
+        np.minimum.at(cut, group[hit], hit)
+        read = unread <= cut[group[unread]]
+        before[unread[read]] = at[read]
+        mover = np.flatnonzero(cut < len(pos))
+        state[mover] = table[state[mover], cls[cut[mover]]]
+        unread = unread[~read]
 
     cells = S * K
     n = (np.bincount(before * K + cls, minlength=cells)

@@ -272,6 +272,18 @@ class TestExitCodes:
         assert rc == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_min_support_below_one_is_usage_error(self, workspace, tmp_path, capsys):
+        root, corpus, eps = workspace
+        out = tmp_path / "out"
+        rank = ["rank", "--data", str(corpus), "--episodes", str(eps), "--no-timestamp",
+                "--out", str(out), "--mine", "--min-support", "0"]
+        for argv in (["mine", "--data", str(corpus), "--min-support", "0", "--out", str(out)],
+                     rank, rank + ["--max-len", "0", "--max-size", "0"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert "--min-support must be at least 1" in err and "Traceback" not in err
+            assert not out.exists()
+
     def test_malformed_threads_environment_is_usage_error(self, workspace, tmp_path,
                                                           monkeypatch, capsys):
         root, corpus, eps = workspace

@@ -133,6 +133,10 @@ class TestLockstepWalker:
             rows = ["".join(rng.choice(list("abcxy"), size=int(rng.integers(0, 13))))
                     for _ in range(int(rng.integers(1, 25)))]
             yield dataset_from_strings(rows)
+        for _ in range(4):  # a few long rows: many episode events per sequence
+            rows = ["".join(rng.choice(list("abcxy"), size=int(rng.integers(100, 400))))
+                    for _ in range(int(rng.integers(1, 4)))]
+            yield dataset_from_strings(rows)
 
     @staticmethod
     def episodes(rng):
