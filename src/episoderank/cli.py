@@ -106,11 +106,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _mine(args, dataset, candidates)
     with open(args.out, "w", encoding="utf-8") as fh:
         for cand in candidates:
-            obj = {
-                "id": cand.eid,
-                "labels": list(cand.episode.labels),
-                "edges": sorted(list(e) for e in episodes.transitive_reduction(cand.episode)),
-            }
+            obj = episodes.episode_record(cand.eid, cand.episode)
             if cand.support is not None:
                 obj["support"] = cand.support
             fh.write(json.dumps(obj) + "\n")

@@ -37,7 +37,7 @@ class SizeCapError(EpisodeError):
 VERTEX_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Episode:
     """Transitively closed episode in canonical vertex order.
 
@@ -176,13 +176,14 @@ def parallel(labels: Sequence[str]) -> Episode:
 
 
 def transitive_reduction(episode: Episode) -> frozenset[tuple[int, int]]:
-    """Minimal edge set whose closure equals the stored (closed) edges."""
-    edges = episode.edges
-    reduced = set()
-    for u, v in edges:
-        if not any((u, w) in edges and (w, v) in edges for w in range(episode.n)):
-            reduced.add((u, v))
-    return frozenset(reduced)
+    """Minimal edge set whose closure equals the stored (closed) edges: an
+    edge is implied when some vertex lies between its ends."""
+    succ = [0] * episode.n
+    pred = [0] * episode.n
+    for u, v in episode.edges:
+        succ[u] |= 1 << v
+        pred[v] |= 1 << u
+    return frozenset((u, v) for u, v in episode.edges if not succ[u] & pred[v])
 
 
 def is_strict(episode: Episode) -> bool:
@@ -285,20 +286,20 @@ def describe(episode: Episode) -> str:
 
 # --- episode files (JSON lines) ---------------------------------------------
 
-def episode_to_json(eid: str, episode: Episode) -> str:
-    obj = {
+def episode_record(eid: str, episode: Episode) -> dict:
+    """The JSON-lines record of an episode, with its reduced edge list."""
+    return {
         "id": eid,
         "labels": list(episode.labels),
         "edges": sorted(list(e) for e in transitive_reduction(episode)),
     }
-    return json.dumps(obj, separators=(", ", ": "))
 
 
 def save_episodes(items: Iterable[tuple[str, Episode]], path: str) -> None:
     """Write episodes as JSON lines with reduced edge lists."""
     with open(path, "w", encoding="utf-8") as fh:
         for eid, episode in items:
-            fh.write(episode_to_json(eid, episode) + "\n")
+            fh.write(json.dumps(episode_record(eid, episode)) + "\n")
 
 
 def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Episode]]:

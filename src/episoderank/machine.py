@@ -58,6 +58,7 @@ class Machine:
         self.edge_src = np.array([e.src for e in edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in edges], dtype=np.intp)
         self._edge_classes: tuple[object, np.ndarray] | None = None
+        self._boost_masks: tuple[object, object, np.ndarray] | None = None
 
     @property
     def num_states(self) -> int:
@@ -77,6 +78,20 @@ class Machine:
             classes = np.array([collapsed.class_of(e.label) for e in self.edges], dtype=np.intp)
             self._edge_classes = (collapsed, classes)
         return self._edge_classes[1]
+
+    def boost_masks(self, spec, collapsed) -> np.ndarray:
+        """Read-only ``bool[2, S, K]``: True where state H has an outgoing edge
+        labelled k in C1 (layer 0) or C2 (layer 1). Kept for the last spec and
+        alphabet asked, which a fit reads at every likelihood evaluation."""
+        cached = self._boost_masks
+        if cached is None or cached[0] is not spec or cached[1] is not collapsed:
+            masks = np.zeros((2, self.num_states, collapsed.size), dtype=bool)
+            for layer, edge_set in enumerate((spec.c1, spec.c2)):
+                idx = list(edge_set)
+                masks[layer, self.edge_src[idx], self.edge_classes(collapsed)[idx]] = True
+            masks.flags.writeable = False
+            self._boost_masks = cached = (spec, collapsed, masks)
+        return cached[2]
 
 
 def build_machine(episode: Episode, vertex_cap: int = VERTEX_CAP,

@@ -1,6 +1,6 @@
 """Frequent-episode candidate generation.
 
-Produces serial episodes (depth-first search over projected occurrence lists),
+Produces serial episodes (projected prefix growth over the columnar corpus),
 parallel episodes (frequent label multisets, emitted strictified), and general
 DAG candidates obtained by intersecting the orders of equal-multiset serial
 episodes. Support is the number of sequences matching the episode; it is
@@ -9,24 +9,17 @@ anti-monotone, which is what makes the level-wise pruning sound.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 from .datagen import Dataset
-from .episodes import (
-    Episode,
-    describe,
-    is_strict,
-    make_episode,
-    parallel,
-    serial,
-    strictify,
-)
+from .episodes import Episode, describe, is_strict, make_episode
 from .machine import build_machine
 from .model import support
 
 
-@dataclass
+@dataclass(slots=True)
 class Candidate:
     eid: str
     episode: Episode
@@ -70,56 +63,151 @@ class CandidateSet:
         return out
 
 
-def _auto_id(episode: Episode) -> str:
-    return describe(episode)
+# Projected events one batch of a search level expands at most, unless a single
+# node has more; bounds the temporary arrays whatever the corpus size.
+BATCH_EVENTS = 1 << 17
+
+
+def _batches(node: np.ndarray, weights: np.ndarray):
+    """Ranges ``[a, b)`` of whole nodes' entries of about BATCH_EVENTS weight each."""
+    cum = np.concatenate(([0], np.cumsum(weights)))
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    marks = np.searchsorted(cum[starts], np.arange(BATCH_EVENTS, cum[-1], BATCH_EVENTS),
+                            side="right") - 1
+    cuts = np.unique(np.concatenate(([0], starts[marks], [len(node)])))
+    return zip(cuts[:-1].tolist(), cuts[1:].tolist())
+
+
+def _frequent_groups(key: np.ndarray, min_support: int, members: bool):
+    """Keys held by at least ``min_support`` elements and their counts; with
+    ``members``, also those elements ordered by key, then by element index."""
+    order = np.argsort(key)
+    sorted_key = key[order]
+    heads = np.flatnonzero(np.diff(sorted_key, prepend=-1))
+    counts = np.diff(np.append(heads, len(key)))
+    keep = counts >= min_support
+    if not members:
+        return sorted_key[heads[keep]], counts[keep], None
+    picked = np.sort(order[np.repeat(keep, counts)])
+    return sorted_key[heads[keep]], counts[keep], picked[np.argsort(key[picked], kind="stable")]
+
+
+def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
+    """Frequent label tuples of up to ``max_k`` labels by projected prefix
+    growth (PrefixSpan), one level per pass, over the corpus cut down to the
+    labels frequent on their own, numbered in symbol order. For multisets each
+    sequence is sorted first: a multiset occurs in a sequence exactly when its
+    sorted tuple is a subsequence of the sorted sequence.
+
+    Each entry holds a node's leftmost match in one supporting sequence, in
+    (node, sequence) order. A child's support counts its parent's entries with
+    the child's label after the match; the first such event is the child's
+    match. Nodes are expanded in batches, a fixed number of array operations
+    each. Returns the labels' symbols and ``(parent, label, support)`` per level.
+    """
+    symbols, index = dataset.alphabet.symbols, dataset.index()
+    L = len(symbols)
+    seq = np.repeat(np.arange(dataset.num_sequences), np.diff(index.offsets))
+    pairs = np.sort(seq * L + index.tokens)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each (sequence, label) once
+    frequent = sorted(np.flatnonzero(np.bincount(pairs % L, minlength=L) >= min_support).tolist(),
+                      key=symbols.__getitem__)
+    F = len(frequent)
+    number = np.full(L, -1)
+    number[frequent] = np.arange(F)
+    label = number[index.tokens]
+    seq, label = seq[label >= 0], label[label >= 0]
+    if multisets:
+        label = label[np.lexsort((label, seq))]
+    ends = np.searchsorted(seq, np.arange(1, dataset.num_sequences + 1))
+    by_pair = np.argsort(seq * F + label, kind="stable")
+    again = np.diff(seq[by_pair] * F + label[by_pair]) == 0
+    prev = np.full(len(label), -1)  # previous event of the same label and sequence
+    prev[by_pair[1:][again]] = by_pair[:-1][again]
+    pos = np.flatnonzero(prev < 0)
+    pos = pos[np.argsort(label[pos], kind="stable")]
+
+    node, at = label[pos], seq[pos]
+    levels = [(np.full(F, -1), np.arange(F), np.bincount(node, minlength=F))]
+    for k in range(2, max_k + 1):
+        grow = k < max_k
+        start, stop = pos + 1, ends[at]
+        found, entries, width = [], [], 0
+        for a, b in _batches(node, stop - start):
+            lens = stop[a:b] - start[a:b]
+            entry = np.repeat(np.arange(a, b), lens)
+            event = np.arange(len(entry)) + np.repeat(start[a:b] - np.cumsum(lens) + lens, lens)
+            first = prev[event] < start[entry]  # the first of its label after the match
+            entry, event = entry[first], event[first]
+            key = (node[entry] - node[a]) * F + label[event]
+            kept, counts, members = _frequent_groups(key, min_support, grow)
+            found.append((kept // F + node[a], kept % F, counts))
+            if grow:
+                entries.append((width + np.repeat(np.arange(len(kept)), counts),
+                                at[entry[members]], event[members]))
+            width += len(kept)
+        if not width:
+            break
+        levels.append(tuple(map(np.concatenate, zip(*found))))
+        if grow:
+            node, at, pos = map(np.concatenate, zip(*entries))
+    return [symbols[lid] for lid in frequent], levels
+
+
+def _edges(index: list[int], equal: list[bool], serial: bool):
+    """Closed edges and id suffix of a serial episode (every pair in pattern
+    order) or a strictified multiset (each run of equal labels chained);
+    ``index`` maps pattern positions to canonical vertices, ``equal`` marks
+    equal neighbours in canonical order."""
+    n = len(index)
+    closed = frozenset((index[i], index[j]) for i in range(n) for j in range(i + 1, n)
+                       if serial or all(equal[i:j]))
+    reduced = sorted((index[i], index[i + 1]) for i in range(n - 1) if serial or equal[i])
+    return closed, "".join(f"|{u}<{v}" for u, v in reduced)
+
+
+def _emit(symbols: list[str], levels: list[tuple[np.ndarray, ...]], serial: bool) -> CandidateSet:
+    """Every level's episodes in order of their label tuples, a prefix first.
+
+    The canonical vertex order is the stable sort of the labels, so the
+    episode and its id are written down per shape of tuple, not derived.
+    """
+    tuples = [levels[0][1][:, None]]
+    for parent, label, _ in levels[1:]:
+        tuples.append(np.column_stack((tuples[-1][parent], label)))
+    eids, episodes = [], []
+    for t in tuples:
+        order = np.argsort(t, axis=1, kind="stable")
+        canon = np.take_along_axis(t, order, axis=1)
+        shape = np.hstack((np.argsort(order, axis=1), canon[:, 1:] == canon[:, :-1]))
+        kinds, code = np.unique(shape, axis=0, return_inverse=True)
+        k = t.shape[1]
+        forms = [_edges(row[:k], row[k:], serial) for row in kinds.tolist()]
+        for row, c in zip(canon.tolist(), code.reshape(-1).tolist()):
+            labels = tuple([symbols[r] for r in row])
+            closed, suffix = forms[c]
+            eids.append("-".join(labels) + suffix)
+            episodes.append(Episode(labels, closed))
+    padded = np.concatenate([np.pad(t, ((0, 0), (0, len(tuples) - t.shape[1])),
+                                    constant_values=-1) for t in tuples])
+    support = np.concatenate([level[2] for level in levels]).tolist()
+    out = CandidateSet()
+    for i in np.lexsort(padded.T[::-1]).tolist():
+        out.add(eids[i], episodes[i], support[i])
+    return out
+
+
+def _mine(dataset: Dataset, min_support: int, max_k: int, serial: bool) -> CandidateSet:
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
+    if max_k < 1:
+        return CandidateSet()
+    return _emit(*_search(dataset, min_support, max_k, multisets=not serial), serial=serial)
 
 
 def mine_serial(dataset: Dataset, min_support: int, max_len: int) -> CandidateSet:
     """All serial episodes up to max_len with subsequence support >= min_support."""
-    if min_support < 1:
-        raise ValueError("min_support must be >= 1")
-    out = CandidateSet()
-    if max_len < 1:
-        return out
-
-    # per-label, per-sequence sorted positions for fast "next occurrence after"
-    positions: dict[int, dict[int, list[int]]] = {}
-    seq_count: dict[int, int] = {}
-    for seq_idx, seq in enumerate(dataset.sequences):
-        seen: set[int] = set()
-        for pos, lid in enumerate(seq):
-            positions.setdefault(lid, {}).setdefault(seq_idx, []).append(pos)
-            if lid not in seen:
-                seen.add(lid)
-                seq_count[lid] = seq_count.get(lid, 0) + 1
-
-    symbols = dataset.alphabet.symbols
-
-    def extend(pattern: list[int], projection: list[tuple[int, int]]) -> None:
-        episode = serial([symbols[lid] for lid in pattern])
-        out.add(_auto_id(episode), episode, len(projection))
-        if len(pattern) == max_len:
-            return
-        counts: dict[int, int] = {}
-        for seq_idx, pos in projection:
-            for lid in set(dataset.sequences[seq_idx][pos + 1:]):
-                counts[lid] = counts.get(lid, 0) + 1
-        for lid in sorted((l for l, c in counts.items() if c >= min_support),
-                          key=lambda l: symbols[l]):
-            new_proj = []
-            for seq_idx, pos in projection:
-                plist = positions[lid].get(seq_idx)
-                if plist is None:
-                    continue
-                i = bisect_right(plist, pos)
-                if i < len(plist):
-                    new_proj.append((seq_idx, plist[i]))
-            extend(pattern + [lid], new_proj)
-
-    for lid in sorted((l for l, c in seq_count.items() if c >= min_support),
-                      key=lambda l: symbols[l]):
-        extend([lid], [(seq_idx, plist[0]) for seq_idx, plist in sorted(positions[lid].items())])
-    return out
+    return _mine(dataset, min_support, max_len, serial=True)
 
 
 def mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> CandidateSet:
@@ -128,51 +216,7 @@ def mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> Candidat
     A sequence supports a multiset when it holds every label with at least the
     required multiplicity, which matches coverage of the strictified episode.
     """
-    if min_support < 1:
-        raise ValueError("min_support must be >= 1")
-    out = CandidateSet()
-    if max_size < 1:
-        return out
-
-    seq_counters: list[dict[int, int]] = []
-    for seq in dataset.sequences:
-        counter: dict[int, int] = {}
-        for lid in seq:
-            counter[lid] = counter.get(lid, 0) + 1
-        seq_counters.append(counter)
-
-    symbols = dataset.alphabet.symbols
-
-    def extend(multiset: list[int], projection: list[int]) -> None:
-        episode = strictify(parallel([symbols[lid] for lid in multiset]))
-        out.add(_auto_id(episode), episode, len(projection))
-        if len(multiset) == max_size:
-            return
-        last = multiset[-1]
-        last_sym = symbols[last]
-        counts: dict[int, int] = {}
-        for seq_idx in projection:
-            for lid, cnt in seq_counters[seq_idx].items():
-                sym = symbols[lid]
-                if sym < last_sym:
-                    continue
-                needed = multiset.count(lid) + 1
-                if cnt >= needed:
-                    counts[lid] = counts.get(lid, 0) + 1
-        for lid in sorted((l for l, c in counts.items() if c >= min_support),
-                          key=lambda l: symbols[l]):
-            needed = multiset.count(lid) + 1
-            new_proj = [s for s in projection if seq_counters[s].get(lid, 0) >= needed]
-            extend(multiset + [lid], new_proj)
-
-    singles: dict[int, list[int]] = {}
-    for seq_idx, counter in enumerate(seq_counters):
-        for lid in counter:
-            singles.setdefault(lid, []).append(seq_idx)
-    for lid in sorted((l for l, seqs in singles.items() if len(seqs) >= min_support),
-                      key=lambda l: symbols[l]):
-        extend([lid], singles[lid])
-    return out
+    return _mine(dataset, min_support, max_size, serial=False)
 
 
 def _is_serial(episode: Episode) -> bool:
@@ -206,7 +250,7 @@ def merge_serial_intersections(candidates: CandidateSet, dataset: Dataset,
                     continue
                 supp = support(build_machine(merged), dataset)
                 if supp >= min_support:
-                    cand = Candidate(_auto_id(merged), merged, supp)
+                    cand = Candidate(describe(merged), merged, supp)
                     if candidates.add(cand.eid, cand.episode, cand.support):
                         additions.append(cand)
     return additions

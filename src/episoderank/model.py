@@ -105,68 +105,87 @@ class StateStats:
         return float(self.c.sum())
 
 
-def collect_statistics(machine: Machine, dataset: Dataset,
-                       collapsed: CollapsedAlphabet | None = None) -> tuple[StateStats, int]:
-    """One greedy walk of every sequence: sufficient statistics plus the support.
+def _walk(machine: Machine, dataset: Dataset, collapsed: CollapsedAlphabet):
+    """Greedy walk of every sequence that holds an episode label.
 
     Only events whose label occurs in the episode can move the machine, so the
     walk reads just their occurrences from the dataset's occurrence index. It
     moves all touched sequences in lockstep, one machine move per round: each
     jumps to its next event that leaves its state, ``state = table[state,
     class]``. A walk moves at most once per episode vertex, so the number of
-    rounds does not grow with sequence length. The other events are credited
-    in bulk to the catch-all class of the state the walk sits in; sequences
-    without any episode label stay at the source.
+    rounds does not grow with sequence length.
+
+    Returns the flat positions of those events, their classes, the touched
+    sequence each belongs to, the state each is read in, and the final state of
+    every touched sequence.
     """
-    if collapsed is None:
-        collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
-    S, K, star = machine.num_states, collapsed.size, collapsed.star
+    S, K = machine.num_states, collapsed.size
     index = dataset.index()
     pos = index.positions_of({dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
                              - {None})
     cls = collapsed.class_of_ids(dataset.alphabet)[index.tokens[pos]]
     seq = np.searchsorted(index.offsets, pos, side="right") - 1
     group = np.cumsum(np.diff(seq, prepend=-1) != 0) - 1  # touched-sequence number of each event
-    runs = np.bincount(group)
-    last = np.cumsum(runs) - 1  # last event of each touched sequence
-    heads = last - runs + 1
-    gap = np.empty_like(pos)  # events read since the previous episode event
-    gap[1:] = pos[1:] - pos[:-1] - 1
-    gap[heads] = pos[heads] - index.offsets[seq[heads]]
-    tail = index.offsets[seq[last] + 1] - pos[last] - 1
+    touched = int(group[-1]) + 1 if len(group) else 0
 
     table = np.repeat(np.arange(S)[:, None], K, axis=1)  # stay put unless an edge matches
     table[machine.edge_src, machine.edge_classes(collapsed)] = machine.edge_dst
     moves = table != np.arange(S)[:, None]
-    state = np.full(len(heads), machine.source)
+    state = np.full(touched, machine.source)
     before = np.empty(len(pos), dtype=np.intp)  # state each event is read in
     unread = np.arange(len(pos))
     while len(unread):
         at = state[group[unread]]
         hit = unread[moves[at, cls[unread]]]
-        cut = np.full(len(heads), len(pos))  # next move of each sequence, if any
+        cut = np.full(touched, len(pos))  # next move of each sequence, if any
         np.minimum.at(cut, group[hit], hit)
         read = unread <= cut[group[unread]]
         before[unread[read]] = at[read]
         mover = np.flatnonzero(cut < len(pos))
         state[mover] = table[state[mover], cls[cut[mover]]]
         unread = unread[~read]
+    return pos, cls, seq, group, before, state
+
+
+def collect_statistics(machine: Machine, dataset: Dataset,
+                       collapsed: CollapsedAlphabet | None = None) -> tuple[StateStats, int]:
+    """One greedy walk of every sequence: sufficient statistics plus the support.
+
+    The events the walk skips are credited in bulk to the catch-all class of
+    the state the walk sits in; sequences without any episode label stay at
+    the source.
+    """
+    if collapsed is None:
+        collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
+    S, K, star = machine.num_states, collapsed.size, collapsed.star
+    offsets = dataset.index().offsets
+    pos, cls, seq, group, before, state = _walk(machine, dataset, collapsed)
+    runs = np.bincount(group)
+    last = np.cumsum(runs) - 1  # last event of each touched sequence
+    heads = last - runs + 1
+    gap = np.empty_like(pos)  # events read since the previous episode event
+    gap[1:] = pos[1:] - pos[:-1] - 1
+    gap[heads] = pos[heads] - offsets[seq[heads]]
+    tail = offsets[seq[last] + 1] - pos[last] - 1
 
     cells = S * K
     n = (np.bincount(before * K + cls, minlength=cells)
          + np.bincount(before * K + star, weights=gap, minlength=cells)
          + np.bincount(state * K + star, weights=tail, minlength=cells)).reshape(S, K)
     n[machine.source, star] += dataset.total_events - len(pos) - gap.sum() - tail.sum()
+    return StateStats(collapsed, n.sum(axis=1), n), _covered(machine, dataset, state)
+
+
+def _covered(machine: Machine, dataset: Dataset, state: np.ndarray) -> int:
     if machine.source == machine.sink:
-        covered = dataset.num_sequences
-    else:
-        covered = int(np.count_nonzero(state == machine.sink))
-    return StateStats(collapsed, n.sum(axis=1), n), covered
+        return dataset.num_sequences
+    return int(np.count_nonzero(state == machine.sink))
 
 
 def support(machine: Machine, dataset: Dataset) -> int:
     """Number of dataset sequences whose greedy walk reaches the sink."""
-    return collect_statistics(machine, dataset)[1]
+    collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
+    return _covered(machine, dataset, _walk(machine, dataset, collapsed)[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,18 +210,6 @@ class ModelParams:
 
 # --- conditional distributions -------------------------------------------------
 
-def boost_masks(machine: Machine, spec: PartitionSpec,
-                collapsed: CollapsedAlphabet) -> np.ndarray:
-    """``bool[2, S, K]``: True where state H has an outgoing edge labelled k in
-    C1 (layer 0) or C2 (layer 1)."""
-    masks = np.zeros((2, machine.num_states, collapsed.size), dtype=bool)
-    for layer, edge_set in enumerate((spec.c1, spec.c2)):
-        for idx in edge_set:
-            e = machine.edges[idx]
-            masks[layer, e.src, collapsed.class_of(e.label)] = True
-    return masks
-
-
 def log_conditionals(u: np.ndarray, t1: float, t2: float, masks: np.ndarray) -> np.ndarray:
     """``[S, K]`` array of log p(k | H), one row per state.
 
@@ -222,7 +229,7 @@ def log_conditionals(u: np.ndarray, t1: float, t2: float, masks: np.ndarray) -> 
 def _model_log_conditionals(params: ModelParams, machine: Machine,
                             spec: PartitionSpec) -> np.ndarray:
     return log_conditionals(params.u, params.t1, params.t2,
-                            boost_masks(machine, spec, params.collapsed))
+                            machine.boost_masks(spec, params.collapsed))
 
 
 # --- likelihood, gradient, hessian ---------------------------------------------
@@ -250,7 +257,7 @@ def gradient_hessian(stats: StateStats, params: ModelParams, machine: Machine,
     sum R B_i)`` and the curvature blocks are ``diag(sum cV) - V'cV``, ``sum
     cV B_i - (cV)'W_i`` and ``diag(sum cW) - W'cW``.
     """
-    masks = boost_masks(machine, spec, stats.collapsed)
+    masks = machine.boost_masks(spec, stats.collapsed)
     V = np.exp(log_conditionals(params.u, params.t1, params.t2, masks))
     cV = stats.c[:, None] * V
     R = stats.n - cV

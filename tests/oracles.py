@@ -6,12 +6,21 @@ with arrays, plus small wrappers that only tests use.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable
 
 import numpy as np
 
 from episoderank.datagen import Alphabet, Dataset
-from episoderank.episodes import Episode, EpisodeError, make_episode
+from episoderank.episodes import (
+    Episode,
+    EpisodeError,
+    describe,
+    make_episode,
+    parallel,
+    serial,
+    strictify,
+)
 from episoderank.machine import Machine, build_machine
 from episoderank.miner import CandidateSet
 from episoderank.model import (
@@ -20,7 +29,6 @@ from episoderank.model import (
     ModelParams,
     PartitionSpec,
     StateStats,
-    boost_masks,
     collapse_alphabet,
     log_conditionals,
     support,
@@ -109,7 +117,7 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
 
 def _log_p(params: ModelParams, machine: Machine, spec: PartitionSpec) -> np.ndarray:
     return log_conditionals(params.u, params.t1, params.t2,
-                            boost_masks(machine, spec, params.collapsed))
+                            machine.boost_masks(spec, params.collapsed))
 
 
 def conditional_label_prob(params: ModelParams, machine: Machine, spec: PartitionSpec,
@@ -163,3 +171,109 @@ def count_supports(episodes: list[tuple[str, Episode]],
         except EpisodeError as exc:
             errors[eid] = str(exc)
     return supports, errors
+
+
+def dfs_mine_serial(dataset: Dataset, min_support: int, max_len: int) -> CandidateSet:
+    """The depth-first, one node at a time search that ``mine_serial`` replaced:
+    per-sequence Python lists of label positions, one projection per node."""
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
+    out = CandidateSet()
+    if max_len < 1:
+        return out
+
+    # per-label, per-sequence sorted positions for fast "next occurrence after"
+    positions: dict[int, dict[int, list[int]]] = {}
+    seq_count: dict[int, int] = {}
+    for seq_idx, seq in enumerate(dataset.sequences):
+        seen: set[int] = set()
+        for pos, lid in enumerate(seq):
+            positions.setdefault(lid, {}).setdefault(seq_idx, []).append(pos)
+            if lid not in seen:
+                seen.add(lid)
+                seq_count[lid] = seq_count.get(lid, 0) + 1
+
+    symbols = dataset.alphabet.symbols
+
+    def extend(pattern: list[int], projection: list[tuple[int, int]]) -> None:
+        episode = serial([symbols[lid] for lid in pattern])
+        out.add(describe(episode), episode, len(projection))
+        if len(pattern) == max_len:
+            return
+        counts: dict[int, int] = {}
+        for seq_idx, pos in projection:
+            for lid in set(dataset.sequences[seq_idx][pos + 1:]):
+                counts[lid] = counts.get(lid, 0) + 1
+        for lid in sorted((l for l, c in counts.items() if c >= min_support),
+                          key=lambda l: symbols[l]):
+            new_proj = []
+            for seq_idx, pos in projection:
+                plist = positions[lid].get(seq_idx)
+                if plist is None:
+                    continue
+                i = bisect_right(plist, pos)
+                if i < len(plist):
+                    new_proj.append((seq_idx, plist[i]))
+            extend(pattern + [lid], new_proj)
+
+    for lid in sorted((l for l, c in seq_count.items() if c >= min_support),
+                      key=lambda l: symbols[l]):
+        extend([lid], [(seq_idx, plist[0]) for seq_idx, plist in sorted(positions[lid].items())])
+    return out
+
+
+def dfs_mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> CandidateSet:
+    """The depth-first search over per-sequence label counters that
+    ``mine_parallel`` replaced; emits strictified multisets."""
+    if min_support < 1:
+        raise ValueError("min_support must be >= 1")
+    out = CandidateSet()
+    if max_size < 1:
+        return out
+
+    seq_counters: list[dict[int, int]] = []
+    for seq in dataset.sequences:
+        counter: dict[int, int] = {}
+        for lid in seq:
+            counter[lid] = counter.get(lid, 0) + 1
+        seq_counters.append(counter)
+
+    symbols = dataset.alphabet.symbols
+
+    def extend(multiset: list[int], projection: list[int]) -> None:
+        episode = strictify(parallel([symbols[lid] for lid in multiset]))
+        out.add(describe(episode), episode, len(projection))
+        if len(multiset) == max_size:
+            return
+        last = multiset[-1]
+        last_sym = symbols[last]
+        counts: dict[int, int] = {}
+        for seq_idx in projection:
+            for lid, cnt in seq_counters[seq_idx].items():
+                sym = symbols[lid]
+                if sym < last_sym:
+                    continue
+                needed = multiset.count(lid) + 1
+                if cnt >= needed:
+                    counts[lid] = counts.get(lid, 0) + 1
+        for lid in sorted((l for l, c in counts.items() if c >= min_support),
+                          key=lambda l: symbols[l]):
+            needed = multiset.count(lid) + 1
+            new_proj = [s for s in projection if seq_counters[s].get(lid, 0) >= needed]
+            extend(multiset + [lid], new_proj)
+
+    singles: dict[int, list[int]] = {}
+    for seq_idx, counter in enumerate(seq_counters):
+        for lid in counter:
+            singles.setdefault(lid, []).append(seq_idx)
+    for lid in sorted((l for l, seqs in singles.items() if len(seqs) >= min_support),
+                      key=lambda l: symbols[l]):
+        extend([lid], singles[lid])
+    return out
+
+
+def reduction_by_search(episode: Episode) -> frozenset[tuple[int, int]]:
+    """Transitive reduction by looking for an intermediate vertex of every edge."""
+    edges = episode.edges
+    return frozenset((u, v) for u, v in edges
+                     if not any((u, w) in edges and (w, v) in edges for w in range(episode.n)))

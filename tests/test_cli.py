@@ -3,7 +3,11 @@ import json
 import pytest
 
 from episoderank.cli import main
+from episoderank.datagen import load_sequences
 from episoderank.episodes import save_episodes, serial, parallel
+from episoderank.miner import CandidateSet, merge_serial_intersections
+
+from oracles import dfs_mine_parallel, dfs_mine_serial, reduction_by_search
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +155,29 @@ class TestMineCommand:
         rows = [json.loads(l) for l in out.read_text().splitlines()]
         assert rows and all({"id", "labels", "edges"} <= set(r) for r in rows)
         assert any(r["labels"] == ["a", "b", "c", "d"] for r in rows)
+
+
+    def test_jsonl_matches_oracle_miners(self, workspace, tmp_path):
+        root, corpus, _ = workspace
+        out = tmp_path / "mined.jsonl"
+        assert main(["mine", "--data", str(corpus), "--min-support", "6", "--max-len", "4",
+                     "--max-size", "2", "--merge-intersections", "--out", str(out)]) == 0
+        dataset = load_sequences(str(corpus))
+        expected = CandidateSet()
+        for mined in (dfs_mine_serial(dataset, 6, 4), dfs_mine_parallel(dataset, 6, 2)):
+            for cand in mined:
+                expected.add(cand.eid, cand.episode, cand.support)
+        merge_serial_intersections(expected, dataset, 6)
+        lines = []
+        for cand in expected:
+            edges = sorted(reduction_by_search(cand.episode))
+            assert cand.eid == "|".join(["-".join(cand.episode.labels)]
+                                        + [f"{u}<{v}" for u, v in edges])
+            lines.append(json.dumps({"id": cand.eid, "labels": list(cand.episode.labels),
+                                     "edges": [list(e) for e in edges],
+                                     "support": cand.support}) + "\n")
+        assert len(lines) > 100
+        assert out.read_text() == "".join(lines)
 
 
 class TestCompareCommand:

@@ -23,8 +23,8 @@ from episoderank.episodes import (
 )
 from episoderank.machine import brute_force_covers
 
-from conftest import all_sequences, random_strict_episode
-from oracles import transitive_closure
+from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
+from oracles import reduction_by_search, transitive_closure
 
 # the four-vertex diamond used throughout: a before b and c, both before d
 DIAMOND_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3)]
@@ -93,6 +93,10 @@ class TestReduction:
             ep = random_strict_episode(rng, "abc", 5)
             again = make_episode(ep.labels, transitive_reduction(ep))
             assert again == ep
+
+    def test_matches_search_for_intermediate_vertex(self):
+        for ep in enumerate_strict_episodes(4, "ab"):
+            assert transitive_reduction(ep) == reduction_by_search(ep)
 
 
 class TestStrictness:

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from episoderank import miner
 from episoderank.datagen import dataset_from_strings, default_config, generate
 from episoderank.episodes import induced, make_episode, parallel, serial, strictify
 from episoderank.machine import brute_force_covers, build_machine, support
@@ -11,7 +13,7 @@ from episoderank.miner import (
 )
 
 from conftest import random_strict_episode
-from oracles import count_supports
+from oracles import count_supports, dfs_mine_parallel, dfs_mine_serial
 
 
 def by_episode(candidates: CandidateSet) -> dict:
@@ -90,6 +92,54 @@ class TestMineParallel:
         ds = dataset_from_strings(["abc", "b"])
         mined = mine_parallel(ds, min_support=1, max_size=1)
         assert sorted(c.episode.labels[0] for c in mined) == ["a", "b", "c"]
+
+
+def _assert_matches_oracle(ds, min_support: int, cap: int) -> None:
+    for mine, oracle in ((mine_serial, dfs_mine_serial), (mine_parallel, dfs_mine_parallel)):
+        assert ([(c.eid, c.episode, c.support) for c in mine(ds, min_support, cap)]
+                == [(c.eid, c.episode, c.support) for c in oracle(ds, min_support, cap)])
+
+
+def _oracle_corpus(rng: np.random.Generator) -> list[str]:
+    """Rows over symbols interned out of sort order ("z" first), each label at
+    most three times a row, some rows empty, often one row much longer."""
+    alphabet = "zyxwvu"[:int(rng.integers(1, 7))]
+    rows = [alphabet]  # interning order: z, y, x, ... (the reverse of sort order)
+    for _ in range(int(rng.integers(0, 14))):
+        counts = rng.integers(0, 4, size=len(alphabet)) * (rng.random(len(alphabet)) < 0.6)
+        row = list(np.repeat(list(alphabet), counts))
+        rng.shuffle(row)
+        rows.append("".join(row))
+    if rng.random() < 0.5:
+        rows.append("".join(rng.choice(list(alphabet), size=int(rng.integers(40, 120)))))
+    return rows
+
+
+class TestMinersAgainstOracle:
+    """The level-wise miners return the depth-first oracle's candidates, in order."""
+
+    @pytest.mark.parametrize("batch", [1, miner.BATCH_EVENTS])
+    def test_random_corpora(self, batch, monkeypatch):
+        monkeypatch.setattr(miner, "BATCH_EVENTS", batch)  # 1: one node per batch
+        rng = np.random.default_rng(20240607)
+        for _ in range(40):
+            ds = dataset_from_strings(_oracle_corpus(rng))
+            min_support = int(rng.integers(1, 4))
+            for cap in range(5):
+                _assert_matches_oracle(ds, min_support, cap)
+
+    @pytest.mark.parametrize("rows", [[], [""], ["", "", ""], ["", "ba", ""]])
+    def test_empty_corpora_and_rows(self, rows):
+        ds = dataset_from_strings(rows)
+        for min_support in (1, 2):
+            for cap in range(4):
+                _assert_matches_oracle(ds, min_support, cap)
+
+    def test_min_support_below_one_rejected(self):
+        ds = dataset_from_strings(["ab"])
+        for mine in (mine_serial, mine_parallel):
+            with pytest.raises(ValueError):
+                mine(ds, 0, 2)
 
 
 class TestMergeIntersections:
