@@ -92,6 +92,36 @@ def _frequent_groups(key: np.ndarray, min_support: int, members: bool):
     return sorted_key[heads[keep]], counts[keep], picked[np.argsort(key[picked], kind="stable")]
 
 
+def _frequent_events(dataset: Dataset, min_support: int, multisets: bool):
+    """The symbols of the labels in at least ``min_support`` sequences, in
+    symbol order, and the sequence and label number of each of their events;
+    for multisets each sequence's events are sorted by label."""
+    symbols, index = dataset.alphabet.symbols, dataset.index()
+    L = len(symbols)
+    seq = np.repeat(np.arange(dataset.num_sequences), np.diff(index.offsets))
+    pairs = np.sort(seq * L + index.tokens)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each (sequence, label) once
+    frequent = sorted(np.flatnonzero(np.bincount(pairs % L, minlength=L) >= min_support).tolist(),
+                      key=symbols.__getitem__)
+    number = np.full(L, -1)
+    number[frequent] = np.arange(len(frequent))
+    label = number[index.tokens]
+    seq, label = seq[label >= 0], label[label >= 0]
+    if multisets:
+        label = label[np.lexsort((label, seq))]
+    return [symbols[lid] for lid in frequent], seq, label
+
+
+def _links(key: np.ndarray):
+    """Each element's nearest earlier element of the same key (-1 if none),
+    and whether it starts a run of equal keys."""
+    by_key = np.argsort(key, kind="stable")
+    again = np.diff(key[by_key]) == 0
+    prev = np.full(len(key), -1)
+    prev[by_key[1:][again]] = by_key[:-1][again]
+    return prev, np.diff(key, prepend=-1) != 0
+
+
 def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
     """Frequent label tuples of up to ``max_k`` labels by projected prefix
     growth (PrefixSpan), one level per pass, over the corpus cut down to the
@@ -102,28 +132,18 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
     Each entry holds a node's leftmost match in one supporting sequence, in
     (node, sequence) order. A child's support counts its parent's entries with
     the child's label after the match; the first such event is the child's
-    match. Nodes are expanded in batches, a fixed number of array operations
-    each. Returns the labels' symbols and ``(parent, label, support)`` per level.
+    match. That event is either the one right after the match, of the same
+    label, or the first of a later run of equal labels, so an entry expands
+    only those: after a match in a sorted sequence, one per distinct label.
+    Nodes are expanded in batches, a fixed number of array operations each.
+    Returns the labels' symbols and ``(parent, label, support)`` per level.
     """
-    symbols, index = dataset.alphabet.symbols, dataset.index()
-    L = len(symbols)
-    seq = np.repeat(np.arange(dataset.num_sequences), np.diff(index.offsets))
-    pairs = np.sort(seq * L + index.tokens)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each (sequence, label) once
-    frequent = sorted(np.flatnonzero(np.bincount(pairs % L, minlength=L) >= min_support).tolist(),
-                      key=symbols.__getitem__)
-    F = len(frequent)
-    number = np.full(L, -1)
-    number[frequent] = np.arange(F)
-    label = number[index.tokens]
-    seq, label = seq[label >= 0], label[label >= 0]
-    if multisets:
-        label = label[np.lexsort((label, seq))]
-    ends = np.searchsorted(seq, np.arange(1, dataset.num_sequences + 1))
-    by_pair = np.argsort(seq * F + label, kind="stable")
-    again = np.diff(seq[by_pair] * F + label[by_pair]) == 0
-    prev = np.full(len(label), -1)  # previous event of the same label and sequence
-    prev[by_pair[1:][again]] = by_pair[:-1][again]
+    symbols, seq, label = _frequent_events(dataset, min_support, multisets)
+    F = len(symbols)
+    prev, head = _links(seq * F + label)  # per (sequence, label)
+    heads, run = np.flatnonzero(head), np.cumsum(head, dtype=np.int32) - 1
+    more = np.append(~head[1:], False)  # the next event continues this run
+    run_ends = np.searchsorted(seq[heads], np.arange(1, dataset.num_sequences + 1))
     pos = np.flatnonzero(prev < 0)
     pos = pos[np.argsort(label[pos], kind="stable")]
 
@@ -131,13 +151,15 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
     levels = [(np.full(F, -1), np.arange(F), np.bincount(node, minlength=F))]
     for k in range(2, max_k + 1):
         grow = k < max_k
-        start, stop = pos + 1, ends[at]
+        lo, extra = run[pos] + 1, more[pos]
+        size = run_ends[at] - lo + extra
         found, entries, width = [], [], 0
-        for a, b in _batches(node, stop - start):
-            lens = stop[a:b] - start[a:b]
+        for a, b in _batches(node, size):
+            lens, offs = size[a:b], np.cumsum(size[a:b]) - size[a:b]
             entry = np.repeat(np.arange(a, b), lens)
-            event = np.arange(len(entry)) + np.repeat(start[a:b] - np.cumsum(lens) + lens, lens)
-            first = prev[event] < start[entry]  # the first of its label after the match
+            event = heads[np.arange(len(entry)) + np.repeat(lo[a:b] - extra[a:b] - offs, lens)]
+            event[offs[extra[a:b]]] = pos[a:b][extra[a:b]] + 1
+            first = prev[event] <= np.repeat(pos[a:b], lens)  # first of its label after the match
             entry, event = entry[first], event[first]
             key = (node[entry] - node[a]) * F + label[event]
             kept, counts, members = _frequent_groups(key, min_support, grow)
@@ -151,7 +173,7 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
         levels.append(tuple(map(np.concatenate, zip(*found))))
         if grow:
             node, at, pos = map(np.concatenate, zip(*entries))
-    return [symbols[lid] for lid in frequent], levels
+    return symbols, levels
 
 
 def _edges(index: list[int], equal: list[bool], serial: bool):
