@@ -136,11 +136,20 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_report(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return ranking.parse_report(text)
+    except datagen.DataError as exc:
+        raise datagen.DataError(f"{path}: {exc}") from None
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
-    with open(args.report_a, encoding="utf-8") as fh:
-        rows_a = ranking.parse_report(fh.read())
-    with open(args.report_b, encoding="utf-8") as fh:
-        rows_b = ranking.parse_report(fh.read())
+    if args.top_k < 0:
+        raise UsageError(f"--top-k must be at least 0, got {args.top_k}")
+    rows_a = _read_report(args.report_a)
+    rows_b = _read_report(args.report_b)
     ids_a = {r["id"] for r in rows_a}
     ids_b = {r["id"] for r in rows_b}
     if ids_a != ids_b:
@@ -206,6 +215,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     lines.append(f"prefix graphs ({len(masks)}): {rendered}")
 
     if args.block_w is not None:
+        outside = [v for v in args.block_w if not 0 <= v < target.episode.n]
+        if outside:
+            raise UsageError(f"--block-w vertex ids must lie in [0, {target.episode.n}), "
+                             f"got {outside}")
         w_mask = 0
         for v in args.block_w:
             w_mask |= 1 << v

@@ -1,14 +1,16 @@
 """Sequence corpora: text ingestion and the seeded synthetic generators.
 
-A dataset is a list of event sequences over an interned alphabet. The three
-synthetic corpus kinds (``plant``, ``plant2``, ``gap``) write known patterns
-into uniform noise; all randomness flows from a single 64-bit seed through a
-NumPy PCG64 generator, so output is byte-identical across runs and platforms.
+A dataset holds its event sequences as one flat array of interned label ids
+with per-sequence offsets; ``Dataset.from_rows`` is the one place where events
+are interned. The three synthetic corpus kinds (``plant``, ``plant2``,
+``gap``) write known patterns into uniform noise; all randomness flows from a
+single 64-bit seed through a NumPy PCG64 generator, so output is
+byte-identical across runs and platforms. The generator draws label ids
+directly, one array per sequence, and joins them.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -47,120 +49,101 @@ class Alphabet:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self._ids
-
-
-@dataclass(frozen=True, eq=False)
-class OccurrenceIndex:
-    """Columnar copy of a corpus with the positions of every label.
-
-    ``tokens[offsets[i]:offsets[i + 1]]`` is sequence ``i``, all sequences in
-    one flat array; ``positions[label_offsets[l]:label_offsets[l + 1]]`` are the
-    flat positions of label ``l`` in ascending order.
-    """
-
-    tokens: np.ndarray
-    offsets: np.ndarray
-    positions: np.ndarray
-    label_offsets: np.ndarray
-
-    @classmethod
-    def build(cls, sequences: Sequence[Sequence[int]], num_labels: int) -> "OccurrenceIndex":
-        lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        tokens = np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.int32,
-                             count=int(offsets[-1]))
-        label_offsets = np.concatenate(([0], np.cumsum(np.bincount(tokens, minlength=num_labels))))
-        return cls(tokens, offsets, np.argsort(tokens, kind="stable"), label_offsets)
-
-    def positions_of(self, label_ids: Iterable[int]) -> np.ndarray:
-        """Ascending flat positions of the events carrying any of the labels."""
-        parts = [self.positions[self.label_offsets[lid]:self.label_offsets[lid + 1]]
-                 for lid in label_ids]
-        return np.sort(np.concatenate([self.positions[:0], *parts]))
-
 
 class Dataset:
-    """Event sequences with an alphabet and an occurrence index.
+    """Event sequences over an interned alphabet, held as flat arrays.
 
-    ``sequences`` holds lists of interned label ids. The occurrence index is
-    built lazily, on the first scan of an episode; it is what makes those scans
-    cheap, since only events whose label occurs in the episode can move its
-    machine.
+    ``tokens`` is every event's label id, all sequences in one ``int32``
+    array; ``tokens[offsets[i]:offsets[i + 1]]`` is sequence ``i``. The flat
+    positions of every label, sorted by label, are built on the first call of
+    :meth:`positions_of`; they are what makes an episode's scan cheap, since
+    only events whose label occurs in the episode can move its machine.
     """
 
-    def __init__(self, sequences: list[list[int]], alphabet: Alphabet):
-        self.sequences = sequences
+    def __init__(self, alphabet: Alphabet, tokens: np.ndarray, offsets: np.ndarray):
         self.alphabet = alphabet
-        self._index: OccurrenceIndex | None = None
+        self.tokens = tokens
+        self.offsets = offsets
+        self._positions: tuple[np.ndarray, np.ndarray] | None = None
         self._length_counts: dict[int, int] | None = None
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[str]]) -> "Dataset":
+        """Intern the events of each row, in order of first appearance; each
+        row is one sequence."""
+        alphabet = Alphabet()
+        ids: list[int] = []
+        offsets = [0]
+        for row in rows:
+            ids.extend(map(alphabet.intern, row))
+            offsets.append(len(ids))
+        return cls(alphabet, np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64))
 
     @property
     def num_sequences(self) -> int:
-        return len(self.sequences)
+        return len(self.offsets) - 1
 
     @property
     def total_events(self) -> int:
-        return sum(k * c for k, c in self.length_counts().items())
+        return len(self.tokens)
 
     def length_counts(self) -> dict[int, int]:
+        """Number of sequences of each length, keyed in order of first appearance."""
         if self._length_counts is None:
-            counts: dict[int, int] = {}
-            for s in self.sequences:
-                counts[len(s)] = counts.get(len(s), 0) + 1
-            self._length_counts = counts
+            lengths, first, counts = np.unique(np.diff(self.offsets), return_index=True,
+                                               return_counts=True)
+            order = np.argsort(first)
+            self._length_counts = dict(zip(lengths[order].tolist(), counts[order].tolist()))
         return self._length_counts
 
-    def index(self) -> OccurrenceIndex:
-        if self._index is None:
-            self._index = OccurrenceIndex.build(self.sequences, len(self.alphabet))
-        return self._index
-
-    def tokens(self, seq_idx: int) -> list[str]:
-        return [self.alphabet.symbols[sid] for sid in self.sequences[seq_idx]]
+    def positions_of(self, label_ids: Iterable[int]) -> np.ndarray:
+        """Ascending flat positions of the events carrying any of the labels."""
+        if self._positions is None:
+            counts = np.bincount(self.tokens, minlength=len(self.alphabet))
+            self._positions = (np.argsort(self.tokens, kind="stable"),
+                               np.concatenate(([0], np.cumsum(counts))))
+        positions, label_offsets = self._positions
+        parts = [positions[label_offsets[lid]:label_offsets[lid + 1]] for lid in label_ids]
+        return np.sort(np.concatenate([positions[:0], *parts]))
 
 
 def load_sequences(path: str) -> Dataset:
-    """Read a whitespace-tokenized corpus, one sequence per line."""
-    alphabet = Alphabet()
-    sequences: list[list[int]] = []
+    """Read a whitespace-tokenized corpus, one sequence per line; blank lines
+    are skipped."""
     blank = 0
+
+    def rows(fh):
+        nonlocal blank
+        for line in fh:
+            tokens = line.split()
+            if tokens:
+                yield tokens
+            else:
+                blank += 1
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                tokens = line.split()
-                if not tokens:
-                    blank += 1
-                    continue
-                sequences.append([alphabet.intern(t) for t in tokens])
+            dataset = Dataset.from_rows(rows(fh))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from None
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from None
     if blank:
         logger.warning("%s: skipped %d blank line(s)", path, blank)
-    return Dataset(sequences, alphabet)
+    return dataset
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:
     """Inverse of :func:`load_sequences`."""
+    words = list(map(dataset.alphabet.symbols.__getitem__, dataset.tokens.tolist()))
+    bounds = dataset.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for seq in dataset.sequences:
-            fh.write(" ".join(dataset.alphabet.symbols[sid] for sid in seq) + "\n")
+        fh.writelines(" ".join(words[a:b]) + "\n" for a, b in zip(bounds, bounds[1:]))
 
 
 def dataset_from_strings(rows: Iterable[str]) -> Dataset:
     """Convenience constructor: each character of each string is one event."""
-    alphabet = Alphabet()
-    sequences = [[alphabet.intern(ch) for ch in row] for row in rows]
-    return Dataset(sequences, alphabet)
-
-
-def dataset_from_token_rows(rows: Iterable[Sequence[str]]) -> Dataset:
-    alphabet = Alphabet()
-    sequences = [[alphabet.intern(t) for t in row] for row in rows]
-    return Dataset(sequences, alphabet)
+    return Dataset.from_rows(rows)
 
 
 # --- synthetic generators ----------------------------------------------------
@@ -284,7 +267,7 @@ def generate(config: GeneratorConfig) -> Dataset:
     alphabet = Alphabet(f"n{i:03d}" for i in range(config.noise_alphabet_size))
     lengths = rng.integers(lo, hi + 1, size=config.num_sequences)
     noise = config.noise_alphabet_size
-    sequences = [list(rng.integers(0, noise, size=int(k))) for k in lengths]
+    sequences = [rng.integers(0, noise, size=int(k)) for k in lengths]
 
     for spec in config.plants:
         pattern_ids = [alphabet.intern(lab) for lab in spec.episode.labels]
@@ -305,4 +288,5 @@ def generate(config: GeneratorConfig) -> Dataset:
             for vertex, pos in zip(order, positions):
                 seq[pos] = pattern_ids[vertex]
 
-    return Dataset(sequences, alphabet)
+    tokens = np.concatenate([np.empty(0, dtype=np.int32), *sequences], dtype=np.int32)
+    return Dataset(alphabet, tokens, np.concatenate(([0], np.cumsum(lengths))))

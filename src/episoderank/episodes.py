@@ -316,8 +316,9 @@ def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Ep
                 continue
             try:
                 obj = json.loads(line)
-                episode = make_episode(obj["labels"], [tuple(e) for e in obj["edges"]])
-            except (KeyError, TypeError, json.JSONDecodeError) as exc:
+                eid = str(obj["id"])
+                episode = make_episode(obj["labels"], [(u, v) for u, v in obj["edges"]])
+            except (KeyError, TypeError, ValueError) as exc:  # EpisodeError is a ValueError
                 raise EpisodeError(f"{path}:{lineno}: malformed episode record: {exc}") from None
             if not is_strict(episode):
                 if not auto_strictify:
@@ -325,7 +326,7 @@ def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Ep
                         f"{path}:{lineno}: episode {obj.get('id')!r} is not strict "
                         "(use --strictify to repair)")
                 episode = strictify(episode)
-            out.append((str(obj["id"]), episode))
+            out.append((eid, episode))
     return out
 
 

@@ -48,13 +48,7 @@ class Machine:
         self.state_index = {mask: i for i, mask in enumerate(states)}
         self.source = 0
         self.sink = len(states) - 1
-        self.out: list[dict[str, int]] = [{} for _ in states]  # label -> dst state
-        self.out_edges: list[list[int]] = [[] for _ in states]
-        self._edge_by_src_vertex: dict[tuple[int, int], int] = {}
-        for idx, e in enumerate(edges):
-            self.out[e.src][e.label] = e.dst
-            self.out_edges[e.src].append(idx)
-            self._edge_by_src_vertex[(e.src, e.vertex)] = idx
+        self._edge_by_src_vertex = {(e.src, e.vertex): idx for idx, e in enumerate(edges)}
         self.edge_src = np.array([e.src for e in edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in edges], dtype=np.intp)
         self._edge_classes: tuple[object, np.ndarray] | None = None

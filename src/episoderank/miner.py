@@ -96,16 +96,16 @@ def _frequent_events(dataset: Dataset, min_support: int, multisets: bool):
     """The symbols of the labels in at least ``min_support`` sequences, in
     symbol order, and the sequence and label number of each of their events;
     for multisets each sequence's events are sorted by label."""
-    symbols, index = dataset.alphabet.symbols, dataset.index()
+    symbols, tokens = dataset.alphabet.symbols, dataset.tokens
     L = len(symbols)
-    seq = np.repeat(np.arange(dataset.num_sequences), np.diff(index.offsets))
-    pairs = np.sort(seq * L + index.tokens)
+    seq = np.repeat(np.arange(dataset.num_sequences), np.diff(dataset.offsets))
+    pairs = np.sort(seq * L + tokens)
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each (sequence, label) once
     frequent = sorted(np.flatnonzero(np.bincount(pairs % L, minlength=L) >= min_support).tolist(),
                       key=symbols.__getitem__)
     number = np.full(L, -1)
     number[frequent] = np.arange(len(frequent))
-    label = number[index.tokens]
+    label = number[tokens]
     seq, label = seq[label >= 0], label[label >= 0]
     if multisets:
         label = label[np.lexsort((label, seq))]
@@ -188,7 +188,8 @@ def _edges(index: list[int], equal: list[bool], serial: bool):
     return closed, "".join(f"|{u}<{v}" for u, v in reduced)
 
 
-def _emit(symbols: list[str], levels: list[tuple[np.ndarray, ...]], serial: bool) -> CandidateSet:
+def _emit(symbols: list[str], levels: list[tuple[np.ndarray, ...]],
+          serial: bool) -> list[Candidate]:
     """Every level's episodes in order of their label tuples, a prefix first.
 
     The canonical vertex order is the stable sort of the labels, so the
@@ -213,26 +214,24 @@ def _emit(symbols: list[str], levels: list[tuple[np.ndarray, ...]], serial: bool
     padded = np.concatenate([np.pad(t, ((0, 0), (0, len(tuples) - t.shape[1])),
                                     constant_values=-1) for t in tuples])
     support = np.concatenate([level[2] for level in levels]).tolist()
-    out = CandidateSet()
-    for i in np.lexsort(padded.T[::-1]).tolist():
-        out.add(eids[i], episodes[i], support[i])
-    return out
+    return [Candidate(eids[i], episodes[i], support[i])
+            for i in np.lexsort(padded.T[::-1]).tolist()]
 
 
-def _mine(dataset: Dataset, min_support: int, max_k: int, serial: bool) -> CandidateSet:
+def _mine(dataset: Dataset, min_support: int, max_k: int, serial: bool) -> list[Candidate]:
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
     if max_k < 1:
-        return CandidateSet()
+        return []
     return _emit(*_search(dataset, min_support, max_k, multisets=not serial), serial=serial)
 
 
-def mine_serial(dataset: Dataset, min_support: int, max_len: int) -> CandidateSet:
+def mine_serial(dataset: Dataset, min_support: int, max_len: int) -> list[Candidate]:
     """All serial episodes up to max_len with subsequence support >= min_support."""
     return _mine(dataset, min_support, max_len, serial=True)
 
 
-def mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> CandidateSet:
+def mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> list[Candidate]:
     """Frequent label multisets, emitted as strictified (chained) episodes.
 
     A sequence supports a multiset when it holds every label with at least the

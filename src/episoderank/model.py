@@ -109,7 +109,7 @@ def _walk(machine: Machine, dataset: Dataset, collapsed: CollapsedAlphabet):
     """Greedy walk of every sequence that holds an episode label.
 
     Only events whose label occurs in the episode can move the machine, so the
-    walk reads just their occurrences from the dataset's occurrence index. It
+    walk reads just their occurrences, gathered by ``Dataset.positions_of``. It
     moves all touched sequences in lockstep, one machine move per round: each
     jumps to its next event that leaves its state, ``state = table[state,
     class]``. A walk moves at most once per episode vertex, so the number of
@@ -120,11 +120,10 @@ def _walk(machine: Machine, dataset: Dataset, collapsed: CollapsedAlphabet):
     every touched sequence.
     """
     S, K = machine.num_states, collapsed.size
-    index = dataset.index()
-    pos = index.positions_of({dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
-                             - {None})
-    cls = collapsed.class_of_ids(dataset.alphabet)[index.tokens[pos]]
-    seq = np.searchsorted(index.offsets, pos, side="right") - 1
+    pos = dataset.positions_of({dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
+                               - {None})
+    cls = collapsed.class_of_ids(dataset.alphabet)[dataset.tokens[pos]]
+    seq = np.searchsorted(dataset.offsets, pos, side="right") - 1
     group = np.cumsum(np.diff(seq, prepend=-1) != 0) - 1  # touched-sequence number of each event
     touched = int(group[-1]) + 1 if len(group) else 0
 
@@ -158,7 +157,7 @@ def collect_statistics(machine: Machine, dataset: Dataset,
     if collapsed is None:
         collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
     S, K, star = machine.num_states, collapsed.size, collapsed.star
-    offsets = dataset.index().offsets
+    offsets = dataset.offsets
     pos, cls, seq, group, before, state = _walk(machine, dataset, collapsed)
     runs = np.bincount(group)
     last = np.cumsum(runs) - 1  # last event of each touched sequence

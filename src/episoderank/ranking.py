@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
 from scipy.stats import kendalltau as _scipy_kendalltau
 
-from .datagen import Dataset
+from .datagen import DataError, Dataset
 from .episodes import Episode, EpisodeError, prefix_graphs
 from .machine import Machine, block_prefix, block_super, build_machine
 from .miner import CandidateSet
@@ -446,19 +446,26 @@ def render_report(rows: list[EpisodeRanking], header_lines: list[str] = (),
 
 
 def parse_report(text: str) -> list[dict]:
-    """Read back the TSV produced by :func:`render_report`."""
+    """Read back the TSV produced by :func:`render_report`; DataError if the
+    header lacks a report column or a row does not parse."""
     rows = []
     header: list[str] | None = None
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
         if header is None:
+            missing = [col for col in REPORT_COLUMNS if col not in parts]
+            if missing:
+                raise DataError(f"not a rank report: missing columns {', '.join(missing)}")
             header = parts
             continue
         row = dict(zip(header, parts))
-        row["support"] = int(row["support"])
-        for col in ("mu_ind", "rank_ind", "mu_part", "rank_part", "rho", "eta"):
-            row[col] = float(row[col])
+        try:
+            row["support"] = int(row["support"])
+            for col in ("mu_ind", "rank_ind", "mu_part", "rank_part", "rho", "eta"):
+                row[col] = float(row[col])
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"line {lineno}: malformed report row: {exc}") from None
         rows.append(row)
     return rows

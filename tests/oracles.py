@@ -36,6 +36,32 @@ from episoderank.model import (
 from episoderank.ranking import RankResult, rank_episode
 
 
+def rows(dataset: Dataset) -> list[list[int]]:
+    """The label ids of each sequence: ``tokens`` sliced by ``offsets``."""
+    bounds = dataset.offsets.tolist()
+    tokens = dataset.tokens.tolist()
+    return [tokens[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def symbol_rows(dataset: Dataset) -> list[list[str]]:
+    """The label strings of each sequence."""
+    return [[dataset.alphabet.symbols[lid] for lid in row] for row in rows(dataset)]
+
+
+def out_edges(machine: Machine) -> list[list[int]]:
+    """Indices of each state's outgoing edges, in edge order."""
+    found: list[list[int]] = [[] for _ in range(machine.num_states)]
+    for idx, e in enumerate(machine.edges):
+        found[e.src].append(idx)
+    return found
+
+
+def transitions(machine: Machine) -> list[dict[str, int]]:
+    """Each state's next state per outgoing edge label."""
+    return [{machine.edges[idx].label: machine.edges[idx].dst for idx in idxs}
+            for idxs in out_edges(machine)]
+
+
 def transitive_closure(episode: Episode) -> Episode:
     """Close the edge relation (identity for stored episodes)."""
     return make_episode(episode.labels, episode.edges)
@@ -44,8 +70,9 @@ def transitive_closure(episode: Episode) -> Episode:
 def greedy(machine: Machine, sequence: Iterable[str], start: int | None = None) -> int:
     """Fold the sequence through the machine, staying put on unmatched events."""
     state = machine.source if start is None else start
+    out = transitions(machine)
     for label in sequence:
-        state = machine.out[state].get(label, state)
+        state = out[state].get(label, state)
     return state
 
 
@@ -83,7 +110,7 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
     c_acc = [0] * S
     n_acc = [[0] * K for _ in range(S)]
     covered = touched_events = 0
-    for seq in dataset.sequences:
+    for seq in rows(dataset):
         events = [(pos, lid) for pos, lid in enumerate(seq) if lid in label_ids]
         if not events:
             continue
@@ -131,11 +158,12 @@ def sequence_log_prob(machine: Machine, params: ModelParams, spec: PartitionSpec
                       sequence: Iterable[str]) -> float:
     """Log-probability of a concrete event sequence under the model."""
     log_p = _log_p(params, machine, spec)
+    out = transitions(machine)
     state = machine.source
     total = 0.0
     for symbol in sequence:
         total += float(log_p[state, params.collapsed.class_of(symbol)])
-        state = machine.out[state].get(symbol, state)
+        state = out[state].get(symbol, state)
     return total
 
 
@@ -144,9 +172,9 @@ def transition_rates_from_probs(machine: Machine,
     """Stay and per-edge probabilities from directly given label probabilities."""
     edge_p = np.zeros(len(machine.edges))
     stay = np.ones(machine.num_states)
-    for state in range(machine.num_states):
+    for state, idxs in enumerate(out_edges(machine)):
         acc = 0.0
-        for idx in machine.out_edges[state]:
+        for idx in idxs:
             p = label_probs.get(machine.edges[idx].label, 0.0)
             edge_p[idx] = p
             acc += p
@@ -185,7 +213,8 @@ def dfs_mine_serial(dataset: Dataset, min_support: int, max_len: int) -> Candida
     # per-label, per-sequence sorted positions for fast "next occurrence after"
     positions: dict[int, dict[int, list[int]]] = {}
     seq_count: dict[int, int] = {}
-    for seq_idx, seq in enumerate(dataset.sequences):
+    sequences = rows(dataset)
+    for seq_idx, seq in enumerate(sequences):
         seen: set[int] = set()
         for pos, lid in enumerate(seq):
             positions.setdefault(lid, {}).setdefault(seq_idx, []).append(pos)
@@ -202,7 +231,7 @@ def dfs_mine_serial(dataset: Dataset, min_support: int, max_len: int) -> Candida
             return
         counts: dict[int, int] = {}
         for seq_idx, pos in projection:
-            for lid in set(dataset.sequences[seq_idx][pos + 1:]):
+            for lid in set(sequences[seq_idx][pos + 1:]):
                 counts[lid] = counts.get(lid, 0) + 1
         for lid in sorted((l for l, c in counts.items() if c >= min_support),
                           key=lambda l: symbols[l]):
@@ -232,7 +261,7 @@ def dfs_mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> Cand
         return out
 
     seq_counters: list[dict[int, int]] = []
-    for seq in dataset.sequences:
+    for seq in rows(dataset):
         counter: dict[int, int] = {}
         for lid in seq:
             counter[lid] = counter.get(lid, 0) + 1

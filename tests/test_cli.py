@@ -311,6 +311,48 @@ class TestExitCodes:
             assert "--min-support must be at least 1" in err and "Traceback" not in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("record", [
+        '{"labels": ["a", "b"], "edges": []}',  # no id
+        '{"id": "x", "labels": ["a", "b"], "edges": [[0]]}',
+        '{"id": "x", "labels": ["a", "b"], "edges": [[0, 1, 2]]}',
+    ])
+    def test_malformed_episode_record_is_data_error(self, workspace, tmp_path, capsys, record):
+        root, corpus, _ = workspace
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(record + "\n")
+        assert main(_rank_args(corpus, bad, tmp_path / "out.tsv")) == 2
+        assert f"{bad}:1: malformed episode record" in capsys.readouterr().err
+
+    def test_compare_rejects_a_file_without_report_columns(self, workspace, tmp_path, capsys):
+        root, corpus, eps = workspace
+        report = tmp_path / "report.tsv"
+        assert main(_rank_args(corpus, eps, report)) == 0
+        other = tmp_path / "other.tsv"
+        other.write_text("id\tscore\nplanted4\t1.5\n")
+        assert main(["compare", str(report), str(other)]) == 2
+        err = capsys.readouterr().err
+        assert str(other) in err and "missing columns support, mu_ind" in err
+        lines = report.read_text().splitlines()
+        other.write_text("\n".join(lines[:-1] + [lines[-1].split("\t")[0]]) + "\n")
+        assert main(["compare", str(report), str(other)]) == 2
+        assert "malformed report row" in capsys.readouterr().err
+
+    def test_compare_negative_top_k_is_usage_error(self, workspace, tmp_path, capsys):
+        root, corpus, eps = workspace
+        report = tmp_path / "report.tsv"
+        assert main(_rank_args(corpus, eps, report)) == 0
+        assert main(["compare", str(report), str(report), "--top-k", "-2"]) == 1
+        assert "--top-k must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("block_w", ["-1", "0,4", "7"])
+    def test_block_w_outside_the_episode_is_usage_error(self, workspace, capsys, block_w):
+        root, corpus, eps = workspace
+        rc = main(["explain", "--data", str(corpus), "--episodes", str(eps),
+                   "--id", "planted4", "--block-w", block_w, "--allow-non-prefix"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--block-w vertex ids must lie in [0, 4)" in err and "Traceback" not in err
+
     def test_malformed_threads_environment_is_usage_error(self, workspace, tmp_path,
                                                           monkeypatch, capsys):
         root, corpus, eps = workspace

@@ -1,13 +1,16 @@
+import hashlib
 import logging
 
 import numpy as np
 import pytest
 
+from episoderank.cli import main
 from episoderank.datagen import (
     DataError,
     Dataset,
     GeneratorConfig,
     PlantSpec,
+    dataset_from_strings,
     default_config,
     generate,
     load_sequences,
@@ -16,6 +19,8 @@ from episoderank.datagen import (
 )
 from episoderank.episodes import serial
 from episoderank.machine import build_machine, support
+
+from oracles import rows, symbol_rows
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +34,7 @@ class TestLoadSave:
         path.write_text("a b c\nb a\n")
         ds = load_sequences(str(path))
         assert ds.num_sequences == 2 and len(ds.alphabet) == 3
-        assert ds.tokens(0) == ["a", "b", "c"]
+        assert symbol_rows(ds)[0] == ["a", "b", "c"]
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -56,6 +61,29 @@ class TestLoadSave:
         save_dataset(ds, str(out))
         assert out.read_text() == path.read_text()
 
+    def test_round_trip_skips_blank_lines_and_keeps_first_appearance_order(self, tmp_path,
+                                                                           caplog):
+        path = tmp_path / "corpus.txt"
+        path.write_text("zeta b zeta\n\n  \na b\nb\n\n")
+        with caplog.at_level(logging.WARNING):
+            ds = load_sequences(str(path))
+        assert "skipped 3 blank line(s)" in caplog.text
+        assert ds.alphabet.symbols == ["zeta", "b", "a"]
+        assert rows(ds) == [[0, 1, 0], [2, 1], [1]]
+        out = tmp_path / "again.txt"
+        save_dataset(ds, str(out))
+        assert out.read_bytes() == b"zeta b zeta\na b\nb\n"
+        again = tmp_path / "again2.txt"
+        save_dataset(load_sequences(str(out)), str(again))
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_length_counts_keep_first_appearance_order(self):
+        # the key order fixes the summation order of the expected support
+        ds = dataset_from_strings(["abc", "a", "", "xyz", "ab", "b", "", "c"])
+        counts = ds.length_counts()
+        assert list(counts.items()) == [(3, 2), (1, 3), (0, 2), (2, 1)]
+        assert ds.num_sequences == 8 and ds.total_events == 11
+
     def test_missing_file(self):
         with pytest.raises(DataError):
             load_sequences("/nonexistent/corpus.txt")
@@ -77,23 +105,31 @@ class TestGenerate:
         # the 4 pattern events contiguously somewhere
         ids = [full_plant.alphabet.id_of(lab) for lab in "abcd"]
         found = 0
-        for seq in full_plant.sequences:
+        for seq in rows(full_plant):
             if all(i in seq for i in ids):
                 pos = seq.index(ids[0])
                 if seq[pos:pos + 4] == ids:
                     found += 1
         assert found >= 200
 
+    def test_corpus_bytes_are_pinned(self, tmp_path, capsys):
+        # README-flow corpus; a change to the RNG stream or the writer moves it
+        out = tmp_path / "plant.txt"
+        assert main(["generate", "--kind", "plant", "--seed", "1", "--num-sequences", "2000",
+                     "--plant-counts", "40,8,6", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a6c5c5cabdbb4a12b51ce57d0016ca3a1ee080597f7e3cdb2d9e3655de7fc46b")
+
     def test_seed_determinism(self):
         cfg = default_config("gap", seed=42, num_sequences=200, gap_p=0.3)
         d1, d2 = generate(cfg), generate(cfg)
-        assert d1.sequences == d2.sequences
+        assert rows(d1) == rows(d2)
         assert d1.alphabet.symbols == d2.alphabet.symbols
 
     def test_different_seeds_differ(self):
         a = generate(default_config("gap", seed=1, num_sequences=50, counts=(10,)))
         b = generate(default_config("gap", seed=2, num_sequences=50, counts=(10,)))
-        assert a.sequences != b.sequences
+        assert rows(a) != rows(b)
 
     def test_gap_zero_support_equals_count(self):
         cfg = default_config("gap", seed=3, num_sequences=2000)
@@ -105,7 +141,7 @@ class TestGenerate:
         ds = generate(cfg)
         ids = [ds.alphabet.id_of(lab) for lab in "abcd"]
         gaps = []
-        for seq in ds.sequences:
+        for seq in rows(ds):
             positions = [i for i, s in enumerate(seq) if s in set(ids)]
             if len(positions) == 4 and [seq[i] for i in positions] == ids:
                 gaps.append((positions[-1] - positions[0]) - 3)
@@ -120,7 +156,7 @@ class TestGenerate:
 
     def test_lengths_in_range(self):
         ds = generate(default_config("plant", seed=6, num_sequences=300, counts=(5, 2, 1)))
-        assert all(20 <= len(s) <= 30 for s in ds.sequences)
+        assert all(20 <= len(s) <= 30 for s in rows(ds))
 
     def test_config_validation(self):
         with pytest.raises(DataError):
@@ -138,7 +174,7 @@ class TestGenerate:
         planted = set("abcdefklmn")
         planted_ids = {ds.alphabet.id_of(x) for x in planted} - {None}
         counts = {pid: 0 for pid in planted_ids}
-        for seq in ds.sequences:
+        for seq in rows(ds):
             for sid in seq:
                 if sid in counts:
                     counts[sid] += 1

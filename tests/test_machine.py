@@ -14,7 +14,7 @@ from episoderank.machine import (
 )
 
 from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
-from oracles import covers, greedy
+from oracles import covers, greedy, out_edges
 
 
 def diamond():
@@ -50,7 +50,7 @@ class TestBuild:
         for _ in range(1000):
             m = build_machine(random_strict_episode(rng, "abc", 5))
             for state in range(m.num_states):
-                out = [m.edges[i].label for i in m.out_edges[state]]
+                out = [m.edges[i].label for i in out_edges(m)[state]]
                 inc = [e.label for e in m.edges if e.dst == state]
                 assert len(out) == len(set(out)) and len(inc) == len(set(inc))
 
@@ -186,7 +186,7 @@ class TestBlockPrefix:
                     inter = x & w
                     if inter == 0 or inter == w:
                         continue
-                    if not any(i in blocked[w] for i in m.out_edges[m.state_index[x]]):
+                    if not any(i in blocked[w] for i in out_edges(m)[m.state_index[x]]):
                         stuck[w] = True
             if w1 not in masks and w2 not in masks:
                 assert stuck[w1] or stuck[w2], (ep, bin(w1))

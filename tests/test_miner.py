@@ -13,11 +13,18 @@ from episoderank.miner import (
 )
 
 from conftest import random_strict_episode
-from oracles import count_supports, dfs_mine_parallel, dfs_mine_serial
+from oracles import count_supports, dfs_mine_parallel, dfs_mine_serial, symbol_rows
 
 
-def by_episode(candidates: CandidateSet) -> dict:
+def by_episode(candidates) -> dict:
     return {(c.episode.labels, c.episode.edges): c for c in candidates}
+
+
+def candidate_set(mined) -> CandidateSet:
+    out = CandidateSet()
+    for cand in mined:
+        out.add(cand.eid, cand.episode, cand.support)
+    return out
 
 
 class TestMineSerial:
@@ -85,8 +92,7 @@ class TestMineParallel:
         for cand in mined.values():
             assert cand.support == support(build_machine(cand.episode), ds)
             assert cand.support == sum(
-                brute_force_covers(cand.episode, ds.tokens(i))
-                for i in range(ds.num_sequences))
+                brute_force_covers(cand.episode, seq) for seq in symbol_rows(ds))
 
     def test_singletons(self):
         ds = dataset_from_strings(["abc", "b"])
@@ -146,7 +152,7 @@ class TestMergeIntersections:
     def test_two_linearizations_give_diamond(self):
         rows = ["knml", "kmnl"] * 3
         ds = dataset_from_strings(rows)
-        candidates = mine_serial(ds, min_support=3, max_len=4)
+        candidates = candidate_set(mine_serial(ds, min_support=3, max_len=4))
         additions = merge_serial_intersections(candidates, ds, min_support=3)
         diamond = make_episode(["k", "n", "m", "l"], [(0, 1), (0, 2), (1, 3), (2, 3)])
         assert any(c.episode == diamond for c in additions)
@@ -156,7 +162,7 @@ class TestMergeIntersections:
 
     def test_opposite_orders_intersect_to_parallel(self):
         ds = dataset_from_strings(["ab", "ba", "ab", "ba"])
-        candidates = mine_serial(ds, min_support=2, max_len=2)
+        candidates = candidate_set(mine_serial(ds, min_support=2, max_len=2))
         additions = merge_serial_intersections(candidates, ds, min_support=2)
         assert any(c.episode == parallel("ab") for c in additions)
 
@@ -205,7 +211,7 @@ class TestCountSupports:
         again, _ = count_supports(eps, ds)
         assert supports == again
         for eid, ep in eps:
-            brute = sum(brute_force_covers(ep, ds.tokens(i)) for i in range(ds.num_sequences))
+            brute = sum(brute_force_covers(ep, seq) for seq in symbol_rows(ds))
             assert supports[eid] == brute
 
     def test_size_cap_reported_per_episode(self):

@@ -7,7 +7,6 @@ import pytest
 from episoderank.datagen import (
     Alphabet,
     dataset_from_strings,
-    dataset_from_token_rows,
     default_config,
     generate,
     plant_patterns,
@@ -41,6 +40,7 @@ from oracles import (
     identity_collapse,
     sequence_log_prob,
     sequential_statistics,
+    symbol_rows,
     transition_rates_from_probs,
 )
 
@@ -154,7 +154,7 @@ class TestLockstepWalker:
                 for col in (collapse_alphabet(ds.alphabet, ep), identity_collapse(ds.alphabet)):
                     stats, covered = collect_statistics(m, ds, col)
                     want, want_covered = sequential_statistics(m, ds, col)
-                    assert np.array_equal(stats.n, want.n), (ep, ds.sequences)
+                    assert np.array_equal(stats.n, want.n), (ep, symbol_rows(ds))
                     assert np.array_equal(stats.c, want.c)
                     assert covered == want_covered
                     assert stats.c.sum() == ds.total_events
@@ -225,8 +225,7 @@ class TestLikelihood:
         stats = collect_statistics(m, ds, col)[0]
         spec = PartitionSpec(frozenset([0]), frozenset([1]))
         params = random_params(rng, col)
-        eventwise = sum(sequence_log_prob(m, params, spec, ds.tokens(i))
-                        for i in range(ds.num_sequences))
+        eventwise = sum(sequence_log_prob(m, params, spec, seq) for seq in symbol_rows(ds))
         assert log_likelihood(stats, params, m, spec) == pytest.approx(eventwise, abs=1e-9)
 
 
@@ -327,7 +326,7 @@ class TestFit:
             pos = int(rng.integers(0, 10))
             seq[pos:pos + 3] = ["a", "b", "c"]
             rows.append(seq)
-        ds = dataset_from_token_rows(rows)
+        ds = dataset_from_strings(rows)
         ep = serial(["a", "b", "c", "x"])
         m = build_machine(ep)
         stats = collect_statistics(m, ds)[0]
