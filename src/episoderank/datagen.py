@@ -57,7 +57,9 @@ class Dataset:
     array; ``tokens[offsets[i]:offsets[i + 1]]`` is sequence ``i``. The flat
     positions of every label, sorted by label, are built on the first call of
     :meth:`positions_of`; they are what makes an episode's scan cheap, since
-    only events whose label occurs in the episode can move its machine.
+    only events whose label occurs in the episode can move its machine. The
+    sequence number of every event is likewise built on first use of
+    :attr:`sequence_ids`.
     """
 
     def __init__(self, alphabet: Alphabet, tokens: np.ndarray, offsets: np.ndarray):
@@ -65,6 +67,7 @@ class Dataset:
         self.tokens = tokens
         self.offsets = offsets
         self._positions: tuple[np.ndarray, np.ndarray] | None = None
+        self._sequence_ids: np.ndarray | None = None
         self._length_counts: dict[int, int] | None = None
 
     @classmethod
@@ -95,6 +98,13 @@ class Dataset:
             order = np.argsort(first)
             self._length_counts = dict(zip(lengths[order].tolist(), counts[order].tolist()))
         return self._length_counts
+
+    @property
+    def sequence_ids(self) -> np.ndarray:
+        """The sequence each event belongs to, one entry per event."""
+        if self._sequence_ids is None:
+            self._sequence_ids = np.repeat(np.arange(self.num_sequences), np.diff(self.offsets))
+        return self._sequence_ids
 
     def positions_of(self, label_ids: Iterable[int]) -> np.ndarray:
         """Ascending flat positions of the events carrying any of the labels."""

@@ -51,7 +51,11 @@ class Machine:
         self._edge_by_src_vertex = {(e.src, e.vertex): idx for idx, e in enumerate(edges)}
         self.edge_src = np.array([e.src for e in edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in edges], dtype=np.intp)
-        self._edge_classes: tuple[object, np.ndarray] | None = None
+        # the reach recursion's terms: every state's self-loop first, then the edges
+        loops = np.arange(len(states))
+        self.step_src = np.concatenate((loops, self.edge_src))
+        self.step_dst = np.concatenate((loops, self.edge_dst))
+        self._arrays: MachineArrays | None = None
         self._boost_masks: tuple[object, object, np.ndarray] | None = None
 
     @property
@@ -62,16 +66,16 @@ class Machine:
         mask = self.states[state]
         return [self.episode.labels[v] for v in range(self.episode.n) if mask >> v & 1]
 
-    def edge_classes(self, collapsed) -> np.ndarray:
-        """Model class of every edge label under a collapsed alphabet.
+    def arrays(self, collapsed) -> MachineArrays:
+        """The machine's arrays under a collapsed alphabet.
 
         Kept for the last alphabet asked: one episode is ranked under one
-        collapsed alphabet, and every model fitted to it reads these classes.
+        collapsed alphabet, and its walk and every model fitted to it read
+        these arrays.
         """
-        if self._edge_classes is None or self._edge_classes[0] is not collapsed:
-            classes = np.array([collapsed.class_of(e.label) for e in self.edges], dtype=np.intp)
-            self._edge_classes = (collapsed, classes)
-        return self._edge_classes[1]
+        if self._arrays is None or self._arrays.collapsed is not collapsed:
+            self._arrays = MachineArrays.build(self, collapsed)
+        return self._arrays
 
     def boost_masks(self, spec, collapsed) -> np.ndarray:
         """Read-only ``bool[2, S, K]``: True where state H has an outgoing edge
@@ -79,13 +83,41 @@ class Machine:
         alphabet asked, which a fit reads at every likelihood evaluation."""
         cached = self._boost_masks
         if cached is None or cached[0] is not spec or cached[1] is not collapsed:
+            edge_cls = self.arrays(collapsed).edge_cls
             masks = np.zeros((2, self.num_states, collapsed.size), dtype=bool)
             for layer, edge_set in enumerate((spec.c1, spec.c2)):
                 idx = list(edge_set)
-                masks[layer, self.edge_src[idx], self.edge_classes(collapsed)[idx]] = True
+                masks[layer, self.edge_src[idx], edge_cls[idx]] = True
             masks.flags.writeable = False
             self._boost_masks = cached = (spec, collapsed, masks)
         return cached[2]
+
+
+@dataclass(frozen=True, eq=False)
+class MachineArrays:
+    """A machine's edges and moves under one collapsed alphabet.
+
+    ``edge_cls`` is the model class of every edge label; ``table[H, k]`` is
+    the state the greedy walk moves to from ``H`` on an event of class ``k``
+    (``H`` itself unless an edge matches), and ``moves`` marks where it
+    differs from ``H``.
+    """
+
+    collapsed: object
+    edge_cls: np.ndarray
+    table: np.ndarray
+    moves: np.ndarray
+
+    @classmethod
+    def build(cls, machine: Machine, collapsed) -> MachineArrays:
+        S = machine.num_states
+        edge_cls = np.array([collapsed.class_of(e.label) for e in machine.edges], dtype=np.intp)
+        table = np.repeat(np.arange(S)[:, None], collapsed.size, axis=1)
+        table[machine.edge_src, edge_cls] = machine.edge_dst
+        moves = table != np.arange(S)[:, None]
+        for arr in (edge_cls, table, moves):
+            arr.flags.writeable = False
+        return cls(collapsed, edge_cls, table, moves)
 
 
 def build_machine(episode: Episode, vertex_cap: int = VERTEX_CAP,

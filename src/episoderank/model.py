@@ -3,8 +3,10 @@
 The model generates each event conditioned on the machine state reached by the
 greedy walk over the preceding events: ``p(l | H) = exp(u_l + t_i [some
 outgoing edge of H labelled l lies in C_i]) / Z_H``. With both boosted edge
-sets empty this is the plain independence model. The log-likelihood is concave
-in ``(u, t1, t2)``, so a damped Newton iteration finds the global maximum.
+sets empty this is the plain independence model, whose fit has a closed form:
+the machine state does not matter, so p(k | H) is the class frequency. With a
+boosted edge set the log-likelihood is still concave in ``(u, t1, t2)``, so a
+damped Newton iteration finds the global maximum.
 
 Labels that do not occur in the host episode cannot move the machine, so they
 are collapsed into one catch-all class; this shrinks the parameter dimension
@@ -14,6 +16,7 @@ probability the rank depends on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -119,31 +122,40 @@ def _walk(machine: Machine, dataset: Dataset, collapsed: CollapsedAlphabet):
     sequence each belongs to, the state each is read in, and the final state of
     every touched sequence.
     """
-    S, K = machine.num_states, collapsed.size
+    arrays = machine.arrays(collapsed)
+    table, moves = arrays.table, arrays.moves
     pos = dataset.positions_of({dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
                                - {None})
     cls = collapsed.class_of_ids(dataset.alphabet)[dataset.tokens[pos]]
-    seq = np.searchsorted(dataset.offsets, pos, side="right") - 1
-    group = np.cumsum(np.diff(seq, prepend=-1) != 0) - 1  # touched-sequence number of each event
+    seq = dataset.sequence_ids[pos]
+    group = np.cumsum(_run_starts(seq)) - 1  # touched-sequence number of each event
     touched = int(group[-1]) + 1 if len(group) else 0
 
-    table = np.repeat(np.arange(S)[:, None], K, axis=1)  # stay put unless an edge matches
-    table[machine.edge_src, machine.edge_classes(collapsed)] = machine.edge_dst
-    moves = table != np.arange(S)[:, None]
     state = np.full(touched, machine.source)
     before = np.empty(len(pos), dtype=np.intp)  # state each event is read in
     unread = np.arange(len(pos))
     while len(unread):
-        at = state[group[unread]]
+        g = group[unread]
+        at = state[g]
         hit = unread[moves[at, cls[unread]]]
+        # hits ascend, so a sequence's next move is the first hit of its run
+        hit = hit[_run_starts(group[hit])]
+        mover = group[hit]
         cut = np.full(touched, len(pos))  # next move of each sequence, if any
-        np.minimum.at(cut, group[hit], hit)
-        read = unread <= cut[group[unread]]
+        cut[mover] = hit
+        read = unread <= cut[g]
         before[unread[read]] = at[read]
-        mover = np.flatnonzero(cut < len(pos))
-        state[mover] = table[state[mover], cls[cut[mover]]]
+        state[mover] = table[state[mover], cls[hit]]
         unread = unread[~read]
     return pos, cls, seq, group, before, state
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True at every entry that differs from the one before it, and at the first."""
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
+    return starts
 
 
 def collect_statistics(machine: Machine, dataset: Dataset,
@@ -213,15 +225,22 @@ def log_conditionals(u: np.ndarray, t1: float, t2: float, masks: np.ndarray) -> 
     """``[S, K]`` array of log p(k | H), one row per state.
 
     The outgoing labels of a state are distinct, so no class of a state is
-    boosted by both t1 and t2. The log partition function is taken as
-    ``m + log1p(sum over k != argmax of exp(z_k - m))``: when one class carries
-    almost all the mass, ``log`` of a sum near 1 would lose the small terms to
-    rounding, enough to stall Newton steps near the optimum.
+    boosted by both t1 and t2.
     """
-    z = u + t1 * masks[0] + t2 * masks[1]
+    return _log_normalize(u + t1 * masks[0] + t2 * masks[1])
+
+
+def _log_normalize(z: np.ndarray) -> np.ndarray:
+    """Each row of ``z`` minus its log partition function.
+
+    The log partition function is taken as ``m + log1p(sum over k != argmax of
+    exp(z_k - m))``: when one class carries almost all the mass, ``log`` of a
+    sum near 1 would lose the small terms to rounding, enough to stall Newton
+    steps near the optimum.
+    """
     shifted = z - z.max(axis=1, keepdims=True)
     rest = np.exp(shifted)
-    np.put_along_axis(rest, shifted.argmax(axis=1)[:, None], 0.0, axis=1)
+    rest[np.arange(len(rest)), shifted.argmax(axis=1)] = 0.0
     return shifted - np.log1p(rest.sum(axis=1, keepdims=True))
 
 
@@ -287,13 +306,14 @@ def _pick_pinned(collapsed: CollapsedAlphabet, totals: np.ndarray) -> int:
 def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
         t_cap: float = T_CAP, max_iter: int = MAX_ITER,
         grad_tol: float = GRAD_TOL) -> ModelParams:
-    """Maximize the likelihood with damped Newton steps inside the box.
+    """Maximize the likelihood inside the box.
 
     All weights live in ``[-t_cap, t_cap]``; classes with zero total count are
     held at the floor (their gradient only ever points further down), and a
-    boost with an empty edge set stays at zero. Steps are backtracked until the
-    likelihood is non-decreasing; convergence is a small projected gradient.
-    The result is a deterministic function of the inputs.
+    boost with an empty edge set stays at zero. With both edge sets empty the
+    maximum has a closed form; otherwise damped Newton steps are backtracked
+    until the likelihood is non-decreasing, and convergence is a small
+    projected gradient. The result is a deterministic function of the inputs.
     """
     collapsed = stats.collapsed
     K = collapsed.size
@@ -304,9 +324,17 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
 
     u = np.full(K, -t_cap)
     nz = totals > 0
-    u[nz] = np.log(totals[nz]) - np.log(totals[pinned])
+    # Without boosts the free classes solve n_k = N p_k, which gives
+    # u_k = log(n_k / n_pinned) + log1p(z e^-t_cap) with z classes at the floor;
+    # Newton starts boosted fits from the same point without the correction.
+    floor_mass = (K - np.count_nonzero(nz)) * math.exp(-t_cap) if spec.is_empty else 0.0
+    u[nz] = np.log(totals[nz]) - np.log(totals[pinned]) + math.log1p(floor_mass)
+    # the clip binds only when one class outnumbers another e^t_cap (about
+    # 7e10) times, so the closed form is the box-constrained maximum below that
     np.clip(u, -t_cap, t_cap, out=u)
     u[pinned] = 0.0
+    if spec.is_empty:
+        return ModelParams(collapsed, u, 0.0, 0.0, pinned)
     x = np.concatenate([u, [0.0, 0.0]])  # full layout: classes then t1, t2
 
     def make_params(vec: np.ndarray) -> ModelParams:
@@ -365,9 +393,11 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
 def transition_rates(machine: Machine, params: ModelParams,
                      spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Per-state stay probability and per-edge traversal probability."""
-    log_p = _model_log_conditionals(params, machine, spec)
-    src = machine.edge_src
-    edge_p = np.exp(log_p[src, machine.edge_classes(params.collapsed)])
+    src, edge_cls = machine.edge_src, machine.arrays(params.collapsed).edge_cls
+    if spec.is_empty:  # one distribution serves every state
+        edge_p = np.exp(_log_normalize(params.u[None, :])[0, edge_cls])
+    else:
+        edge_p = np.exp(_model_log_conditionals(params, machine, spec)[src, edge_cls])
     leave = np.bincount(src, weights=edge_p, minlength=machine.num_states)
     return np.maximum(1.0 - leave, 0.0), edge_p
 
@@ -377,17 +407,19 @@ def reach_table(machine: Machine, stay: np.ndarray, edge_p: np.ndarray,
     """Distribution over states of the greedy walk after 0..max_length events.
 
     Row ``k`` solves ``p(H, k) = stay_H p(H, k-1) + sum over incoming edges of
-    p(edge) p(src, k-1)`` from the point mass on the source.
+    p(edge) p(src, k-1)`` from the point mass on the source. A step is one
+    ``bincount`` over the self-loops and then the edges, which adds each
+    state's terms in that order: the stay term first, then the incoming edges
+    in edge order.
     """
-    src, dst = machine.edge_src, machine.edge_dst
-    table = np.zeros((max_length + 1, machine.num_states))
+    S = machine.num_states
+    src, dst = machine.step_src, machine.step_dst
+    weight = np.concatenate((stay, edge_p))
+    table = np.zeros((max_length + 1, S))
     table[0, machine.source] = 1.0
+    prev = table[0]
     for k in range(1, max_length + 1):
-        prev = table[k - 1]
-        nxt = prev * stay
-        if len(src):
-            np.add.at(nxt, dst, edge_p * prev[src])
-        table[k] = nxt
+        prev = table[k] = np.bincount(dst, weights=weight * prev[src], minlength=S)
     return table
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
-from scipy.stats import kendalltau as _scipy_kendalltau
 
 from .datagen import DataError, Dataset
 from .episodes import Episode, EpisodeError, prefix_graphs
@@ -28,6 +27,7 @@ from .miner import CandidateSet
 from .model import (
     EMPTY_SPEC,
     ModelParams,
+    NumericalFitError,
     PartitionSpec,
     collapse_alphabet,
     collect_statistics,
@@ -329,7 +329,9 @@ def kendall_tau(ranking_a: list[tuple[str, float]], ranking_b: list[tuple[str, f
     ys = [score_b[i] for i, _ in ranking_a]
     if len(set(xs)) == 1 or len(set(ys)) == 1:
         return 0.0
-    return float(_scipy_kendalltau(xs, ys).statistic)
+    from scipy.stats import kendalltau  # only compare needs it; importing it is slow
+
+    return float(kendalltau(xs, ys).statistic)
 
 
 # --- batch ranking -----------------------------------------------------------------
@@ -344,14 +346,8 @@ def _init_worker(dataset: Dataset, candidates: CandidateSet | None, exact: bool)
 
 
 def _rank_chunk(chunk: list[tuple[str, Episode]]):
-    out = []
-    for eid, episode in chunk:
-        try:
-            out.append(rank_episode(eid, episode, _WORKER["dataset"],
-                                    _WORKER["candidates"], exact=_WORKER["exact"]))
-        except EpisodeError as exc:
-            out.append((eid, str(exc)))
-    return out
+    return [_rank_one_safe(eid, episode, _WORKER["dataset"], _WORKER["candidates"],
+                           _WORKER["exact"]) for eid, episode in chunk]
 
 
 def rank_many(episodes: list[tuple[str, Episode]], dataset: Dataset,
@@ -360,7 +356,7 @@ def rank_many(episodes: list[tuple[str, Episode]], dataset: Dataset,
     """Rank a batch of episodes, optionally across worker processes.
 
     Results come back in input order whatever the schedule; per-episode size
-    failures are collected instead of aborting the batch.
+    and fitting failures are collected instead of aborting the batch.
     """
     try:
         ctx = multiprocessing.get_context("fork")
@@ -394,7 +390,7 @@ def rank_many(episodes: list[tuple[str, Episode]], dataset: Dataset,
 def _rank_one_safe(eid, episode, dataset, candidates, exact):
     try:
         return rank_episode(eid, episode, dataset, candidates, exact=exact)
-    except EpisodeError as exc:
+    except (EpisodeError, NumericalFitError) as exc:
         return (eid, str(exc))
 
 

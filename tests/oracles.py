@@ -24,12 +24,15 @@ from episoderank.episodes import (
 from episoderank.machine import Machine, build_machine
 from episoderank.miner import CandidateSet
 from episoderank.model import (
+    EMPTY_SPEC,
     STAR,
+    T_CAP,
     CollapsedAlphabet,
     ModelParams,
     PartitionSpec,
     StateStats,
     collapse_alphabet,
+    gradient_hessian,
     log_conditionals,
     support,
 )
@@ -180,6 +183,52 @@ def transition_rates_from_probs(machine: Machine,
             acc += p
         stay[state] = 1.0 - acc
     return stay, edge_p
+
+
+def reach_table_by_add_at(machine: Machine, stay: np.ndarray, edge_p: np.ndarray,
+                          max_length: int) -> np.ndarray:
+    """The per-length loop that ``reach_table`` replaced: the stay terms, then
+    ``np.add.at`` of the incoming edge terms in edge order."""
+    src, dst = machine.edge_src, machine.edge_dst
+    table = np.zeros((max_length + 1, machine.num_states))
+    table[0, machine.source] = 1.0
+    for k in range(1, max_length + 1):
+        prev = table[k - 1]
+        nxt = prev * stay
+        if len(src):
+            np.add.at(nxt, dst, edge_p * prev[src])
+        table[k] = nxt
+    return table
+
+
+def newton_independence(machine: Machine, stats: StateStats,
+                        t_cap: float = T_CAP) -> ModelParams:
+    """The independence fit by plain Newton steps on the free class weights.
+
+    Pins the class ``fit`` pins, holds the classes that never occur at the
+    floor, starts from the log frequency ratios and steps until the step is
+    below 1e-15.
+    """
+    collapsed = stats.collapsed
+    totals = stats.n.sum(axis=0)
+    pinned = collapsed.star if totals[collapsed.star] > 0 else int(np.flatnonzero(totals)[0])
+    u = np.full(collapsed.size, -t_cap)
+    observed = totals > 0
+    u[observed] = np.log(totals[observed] / totals[pinned])
+    free = observed.copy()
+    free[pinned] = False
+    # gradient_hessian orders its coordinates as the classes but the pinned one
+    free_in_layout = np.delete(free, pinned)
+    for _ in range(50):
+        params = ModelParams(collapsed, u.copy(), 0.0, 0.0, pinned)
+        grad, hess = gradient_hessian(stats, params, machine, EMPTY_SPEC)
+        grad, hess = grad[:-2][free_in_layout], hess[:-2, :-2][np.ix_(free_in_layout,
+                                                                     free_in_layout)]
+        step = np.linalg.solve(-hess, grad)
+        u[free] += step
+        if not step.size or np.abs(step).max() < 1e-15:
+            break
+    return ModelParams(collapsed, u, 0.0, 0.0, pinned)
 
 
 def rank_combined(episode: Episode, dataset: Dataset,

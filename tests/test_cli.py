@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -143,6 +144,44 @@ class TestRankCommand:
         assert main(["explain", "--data", str(corpus), "--episodes", str(eps), "--mine",
                      "--exact", "--id", "planted4"]) == 2
         assert calls == []
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_fit_skips_only_that_episode(self, workspace, tmp_path, monkeypatch,
+                                                threads):
+        from episoderank import model, ranking
+
+        root, corpus, eps = workspace
+        good = tmp_path / "good.tsv"
+        assert main(_rank_args(corpus, eps, good, threads=threads)) == 0
+        original = ranking.fit
+
+        def failing_for_pair(machine, spec, stats):
+            if machine.episode == parallel("ab"):
+                raise model.NumericalFitError("non-finite gradient during fitting")
+            return original(machine, spec, stats)
+
+        monkeypatch.setattr(ranking, "fit", failing_for_pair)
+        out = tmp_path / "skipped.tsv"
+        assert main(_rank_args(corpus, eps, out, threads=threads)) == 0
+        lines = out.read_text().splitlines()
+        assert lines[-1] == "# skipped pair-parallel: non-finite gradient during fitting"
+        expected = [l for l in good.read_text().splitlines()
+                    if not l.startswith("pair-parallel\t")]
+        assert lines[:-1] == expected
+
+    def test_failed_fit_aborts_explain(self, workspace, monkeypatch, capsys):
+        from episoderank import model, ranking
+
+        root, corpus, eps = workspace
+
+        def failing(*args):
+            raise model.NumericalFitError("non-finite gradient during fitting")
+
+        monkeypatch.setattr(ranking, "fit", failing)
+        assert main(["explain", "--data", str(corpus), "--episodes", str(eps),
+                     "--id", "pair-parallel"]) == 3
+        assert "non-finite gradient" in capsys.readouterr().err
 
 
 class TestMineCommand:
@@ -361,3 +400,19 @@ class TestExitCodes:
                    "--no-timestamp", "--out", str(tmp_path / "out.tsv")])
         assert rc == 1
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # only compare needs scipy.stats, and importing it costs every command
+    # about half a second
+    import subprocess
+    import sys
+
+    import episoderank
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(episoderank.__file__)))
+    code = "import sys, episoderank.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -12,7 +12,7 @@ from episoderank.datagen import (
     plant_patterns,
 )
 from episoderank import model
-from episoderank.episodes import make_episode, parallel, serial
+from episoderank.episodes import make_episode, parallel, serial, strictify
 from episoderank.machine import block_prefix, block_super, build_machine
 from episoderank.model import (
     EMPTY_SPEC,
@@ -38,6 +38,8 @@ from oracles import (
     conditional_label_prob,
     greedy,
     identity_collapse,
+    newton_independence,
+    reach_table_by_add_at,
     sequence_log_prob,
     sequential_statistics,
     symbol_rows,
@@ -399,6 +401,92 @@ class TestFit:
             mid = ModelParams(col, (a.u + b.u) / 2, (a.t1 + b.t1) / 2,
                               (a.t2 + b.t2) / 2, col.star)
             assert ll(mid) >= (ll(a) + ll(b)) / 2 - 1e-9
+
+
+class TestIndependenceClosedForm:
+    @staticmethod
+    def plant_corpus():
+        return generate(default_config("plant", seed=5, num_sequences=600, counts=(40, 8, 6)))
+
+    def cases(self):
+        plant = self.plant_corpus()
+        ab = dataset_from_strings(["ab", "ba", "aab", "bb", "ab", "abba"])
+        return [
+            # every class occurs: the closed form is the old starting point
+            (plant, serial("abcd"), None, 0),
+            # a label absent from the corpus is held at the floor
+            (plant, serial(["a", "absent"]), None, 1),
+            # one class per symbol over a corpus of episode labels only: no
+            # gaps, so the catch-all never occurs and a label class is pinned
+            (ab, serial("ab"), identity_collapse(ab.alphabet), 1),
+        ]
+
+    def test_matches_newton_oracle(self):
+        for dataset, episode, collapsed, floored in self.cases():
+            m = build_machine(episode)
+            stats = collect_statistics(m, dataset, collapsed)[0]
+            assert np.count_nonzero(stats.n.sum(axis=0) == 0) == floored
+            params = fit(m, EMPTY_SPEC, stats)
+            oracle = newton_independence(m, stats)
+            assert params.pinned == oracle.pinned
+            assert params.t1 == 0.0 and params.t2 == 0.0
+            assert np.abs(params.u - oracle.u).max() < 1e-12
+
+    def test_projected_gradient_vanishes(self):
+        for dataset, episode, collapsed, _ in self.cases():
+            m = build_machine(episode)
+            stats = collect_statistics(m, dataset, collapsed)[0]
+            params = fit(m, EMPTY_SPEC, stats)
+            grad, _ = gradient_hessian(stats, params, m, EMPTY_SPEC)
+            observed = np.delete(stats.n.sum(axis=0) > 0, params.pinned)
+            # floored classes may only press against the floor
+            assert np.abs(grad[:-2][observed]).max() < 1e-9 * stats.total_events()
+            assert np.all(grad[:-2][~observed] <= 0.0)
+
+    def test_runs_no_newton_iteration(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("independence fit evaluated a gradient")
+
+        monkeypatch.setattr(model, "gradient_hessian", forbidden)
+        monkeypatch.setattr(model, "log_likelihood", forbidden)
+        for dataset, episode, collapsed, _ in self.cases():
+            m = build_machine(episode)
+            fit(m, EMPTY_SPEC, collect_statistics(m, dataset, collapsed)[0])
+
+
+class TestReachStep:
+    def test_bit_identical_to_add_at_loop(self):
+        rng = np.random.default_rng(21)
+        ds = generate(default_config("plant", seed=3, num_sequences=300, counts=(30, 8, 6)))
+        for ep in (serial("abcd"), strictify(parallel(["a", "a", "b"])), diamond()):
+            m = build_machine(ep)
+            stats = collect_statistics(m, ds)[0]
+            edges = list(range(len(m.edges)))
+            rng.shuffle(edges)
+            half = len(edges) // 2
+            boosted = PartitionSpec(frozenset(edges[:half]), frozenset(edges[half:]))
+            for spec in (EMPTY_SPEC, boosted):
+                params = fit(m, spec, stats)
+                stay, edge_p = transition_rates(m, params, spec)
+                assert np.array_equal(reach_table(m, stay, edge_p, 40),
+                                      reach_table_by_add_at(m, stay, edge_p, 40))
+            params = random_params(rng, stats.collapsed, t_scale=2.0)
+            stay, edge_p = transition_rates(m, params, boosted)
+            assert np.array_equal(reach_table(m, stay, edge_p, 40),
+                                  reach_table_by_add_at(m, stay, edge_p, 40))
+
+    def test_independence_rates_match_the_masked_path(self):
+        # the empty spec's one-row conditionals equal every row of the masked ones
+        rng = np.random.default_rng(22)
+        for _ in range(20):
+            ep = random_strict_episode(rng, "abcdefghij", 12)
+            m = build_machine(ep)
+            col = collapse_alphabet(Alphabet("abcdefghijxyz"), ep)
+            params = random_params(rng, col, t_scale=3.0)
+            log_p = model.log_conditionals(params.u, 0.0, 0.0,
+                                           m.boost_masks(EMPTY_SPEC, col))
+            edge_p = np.exp(log_p[m.edge_src, m.arrays(col).edge_cls])
+            assert np.array_equal(transition_rates(m, params, EMPTY_SPEC)[1], edge_p)
 
 
 class TestReach:
