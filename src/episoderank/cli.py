@@ -8,6 +8,7 @@ can be suppressed with --no-timestamp for byte-stable output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -34,19 +35,32 @@ class UsageError(Exception):
     """A flag value that parses but is out of range."""
 
 
-def _mine(args: argparse.Namespace, dataset: datagen.Dataset,
-          candidates: miner.CandidateSet) -> None:
-    """Add the serial, parallel and (optionally) merged episodes the flags ask for."""
+def _mine(args: argparse.Namespace, dataset: datagen.Dataset) -> list[miner.MinedEpisodes]:
+    """The serial and multiset searches the flags ask for, in that order."""
     if args.min_support < 1:
         raise UsageError(f"--min-support must be at least 1, got {args.min_support}")
+    for flag, cap in (("--max-len", args.max_len), ("--max-size", args.max_size)):
+        if cap < 0:
+            raise UsageError(f"{flag} must be at least 0 (0 disables it), got {cap}")
+    mined = []
     if args.max_len >= 1:
-        for cand in miner.mine_serial(dataset, args.min_support, args.max_len):
-            candidates.add(cand.eid, cand.episode, cand.support)
+        mined.append(miner.mine_serial(dataset, args.min_support, args.max_len))
     if args.max_size >= 1:
-        for cand in miner.mine_parallel(dataset, args.min_support, args.max_size):
+        mined.append(miner.mine_parallel(dataset, args.min_support, args.max_size))
+    return mined
+
+
+def _add_mined(args: argparse.Namespace, dataset: datagen.Dataset,
+               mined: list[miner.MinedEpisodes],
+               candidates: miner.CandidateSet) -> list[miner.Candidate]:
+    """Add the mined episodes to ``candidates``, then, with
+    --merge-intersections, the order-intersection merges, which it returns."""
+    for result in mined:
+        for cand in result:
             candidates.add(cand.eid, cand.episode, cand.support)
-    if args.merge_intersections:
-        miner.merge_serial_intersections(candidates, dataset, args.min_support)
+    if not args.merge_intersections:
+        return []
+    return miner.merge_serial_intersections(candidates, dataset, args.min_support)
 
 
 def _load_candidates(args: argparse.Namespace, dataset: datagen.Dataset) -> miner.CandidateSet:
@@ -55,7 +69,7 @@ def _load_candidates(args: argparse.Namespace, dataset: datagen.Dataset) -> mine
         for eid, episode in episodes.load_episodes(path, auto_strictify=args.strictify):
             candidates.add(eid, episode)
     if args.mine:
-        _mine(args, dataset, candidates)
+        _add_mined(args, dataset, _mine(args, dataset), candidates)
     return candidates
 
 
@@ -102,15 +116,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     dataset = datagen.load_sequences(args.data)
-    candidates = miner.CandidateSet()
-    _mine(args, dataset, candidates)
+    mined = _mine(args, dataset)
+    additions = []
+    if args.merge_intersections:
+        additions = _add_mined(args, dataset, mined, miner.CandidateSet())
+    # the lines of a CandidateSet holding the serial episodes, the multisets and
+    # the additions, in that order, without building the mined episodes
+    lines = [result.lines(0 if result.serial else args.max_len) for result in mined]
+    lines.append(episodes.episode_line(c.eid, c.episode, c.support) for c in additions)
+    count = 0
     with open(args.out, "w", encoding="utf-8") as fh:
-        for cand in candidates:
-            obj = episodes.episode_record(cand.eid, cand.episode)
-            if cand.support is not None:
-                obj["support"] = cand.support
-            fh.write(json.dumps(obj) + "\n")
-    print(f"mined {len(candidates)} episodes to {args.out}")
+        for line in itertools.chain.from_iterable(lines):
+            fh.write(line)
+            count += 1
+    print(f"mined {count} episodes to {args.out}")
     return EXIT_OK
 
 

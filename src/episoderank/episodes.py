@@ -286,20 +286,32 @@ def describe(episode: Episode) -> str:
 
 # --- episode files (JSON lines) ---------------------------------------------
 
-def episode_record(eid: str, episode: Episode) -> dict:
-    """The JSON-lines record of an episode, with its reduced edge list."""
-    return {
-        "id": eid,
-        "labels": list(episode.labels),
-        "edges": sorted(list(e) for e in transitive_reduction(episode)),
-    }
+def record_line(eid: str, labels: str, edges: str, support: int | None = None) -> str:
+    """One line of an episode file, from the JSON text of its fields: ``eid`` a
+    string literal, ``labels`` and ``edges`` lists (``edge_list``). Every
+    episode file is written through here. Its bytes are those of ``json.dumps``
+    of the record: keys id, labels, edges, then support when given; ", " and
+    ": " separators; non-ASCII characters escaped as \\uXXXX."""
+    tail = "" if support is None else f', "support": {support}'
+    return f'{{"id": {eid}, "labels": {labels}, "edges": {edges}{tail}}}\n'
+
+
+def edge_list(edges: Iterable[tuple[int, int]]) -> str:
+    """The JSON text of a list of edges."""
+    return "[" + ", ".join(f"[{u}, {v}]" for u, v in edges) + "]"
+
+
+def episode_line(eid: str, episode: Episode, support: int | None = None) -> str:
+    """The episode-file line of an episode, with its reduced edge list."""
+    return record_line(json.dumps(eid), json.dumps(list(episode.labels)),
+                       edge_list(sorted(transitive_reduction(episode))), support)
 
 
 def save_episodes(items: Iterable[tuple[str, Episode]], path: str) -> None:
     """Write episodes as JSON lines with reduced edge lists."""
     with open(path, "w", encoding="utf-8") as fh:
         for eid, episode in items:
-            fh.write(json.dumps(episode_record(eid, episode)) + "\n")
+            fh.write(episode_line(eid, episode))
 
 
 def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Episode]]:

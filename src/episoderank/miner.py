@@ -4,17 +4,20 @@ Produces serial episodes (projected prefix growth over the columnar corpus),
 parallel episodes (frequent label multisets, emitted strictified), and general
 DAG candidates obtained by intersecting the orders of equal-multiset serial
 episodes. Support is the number of sequences matching the episode; it is
-anti-monotone, which is what makes the level-wise pruning sound.
+anti-monotone, which is what makes the level-wise pruning sound. The serial
+and multiset miners return their search's level arrays; episodes are built
+only when the result is iterated.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datagen import Dataset
-from .episodes import Episode, describe, is_strict, make_episode
+from .episodes import Episode, describe, edge_list, is_strict, make_episode, record_line
 from .machine import build_machine
 from .model import support
 
@@ -176,62 +179,127 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
     return symbols, levels
 
 
-def _edges(index: list[int], equal: list[bool], serial: bool):
-    """Closed edges and id suffix of a serial episode (every pair in pattern
-    order) or a strictified multiset (each run of equal labels chained);
-    ``index`` maps pattern positions to canonical vertices, ``equal`` marks
-    equal neighbours in canonical order."""
+def _form(index: list[int], equal: list[bool], serial: bool):
+    """Closed edges, id suffix, JSON edge list and whether every label is the
+    same, of a serial episode (every pair in pattern order) or a strictified
+    multiset (each run of equal labels chained); ``index`` maps pattern
+    positions to canonical vertices, ``equal`` marks equal neighbours in
+    canonical order."""
     n = len(index)
     closed = frozenset((index[i], index[j]) for i in range(n) for j in range(i + 1, n)
                        if serial or all(equal[i:j]))
     reduced = sorted((index[i], index[i + 1]) for i in range(n - 1) if serial or equal[i])
-    return closed, "".join(f"|{u}<{v}" for u, v in reduced)
+    return closed, "".join(f"|{u}<{v}" for u, v in reduced), edge_list(reduced), all(equal)
 
 
-def _emit(symbols: list[str], levels: list[tuple[np.ndarray, ...]],
-          serial: bool) -> list[Candidate]:
-    """Every level's episodes in order of their label tuples, a prefix first.
+def _distinct_rows(rows: np.ndarray):
+    """The distinct rows of an integer matrix, and each row's index among them
+    (``np.unique(rows, axis=0, return_inverse=True)`` sorts a structured view
+    of the rows, about 2 s for a million rows of three small ints)."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    code = np.empty(len(rows), dtype=np.intp)
+    code[order] = np.cumsum(first) - 1
+    return ranked[first], code
 
-    The canonical vertex order is the stable sort of the labels, so the
-    episode and its id are written down per shape of tuple, not derived.
+
+# Tuples a result converts to Python lists at once while iterated; bounds the
+# memory of those lists whatever the number of candidates.
+CHUNK = 1 << 14
+
+
+class MinedEpisodes:
+    """The frequent label tuples of one search, held as its level arrays.
+
+    ``symbols`` are the labels frequent on their own, in symbol order. Entry i
+    of level k is the k-label tuple that extends entry ``parent[i]`` of level
+    k - 1 by label number ``label[i]``, held by ``support[i]`` sequences;
+    serial tuples are in pattern order, multiset tuples sorted. Iterating
+    builds each ``Candidate`` on demand and ``lines`` writes the JSONL records
+    straight from the arrays, both in the lexicographic order of the tuples, a
+    prefix first.
     """
-    tuples = [levels[0][1][:, None]]
-    for parent, label, _ in levels[1:]:
-        tuples.append(np.column_stack((tuples[-1][parent], label)))
-    eids, episodes = [], []
-    for t in tuples:
-        order = np.argsort(t, axis=1, kind="stable")
-        canon = np.take_along_axis(t, order, axis=1)
-        shape = np.hstack((np.argsort(order, axis=1), canon[:, 1:] == canon[:, :-1]))
-        kinds, code = np.unique(shape, axis=0, return_inverse=True)
-        k = t.shape[1]
-        forms = [_edges(row[:k], row[k:], serial) for row in kinds.tolist()]
-        for row, c in zip(canon.tolist(), code.reshape(-1).tolist()):
+
+    def __init__(self, symbols: list[str], levels: list[tuple[np.ndarray, ...]],
+                 serial: bool):
+        self.symbols, self.levels, self.serial = symbols, levels, serial
+
+    def __len__(self) -> int:
+        return sum(len(support) for _, _, support in self.levels)
+
+    def _records(self):
+        """Per tuple, in order: its label numbers in canonical vertex order,
+        the form of its shape (``_form``) and its support.
+
+        The canonical vertex order is the stable sort of the labels, so the
+        episode, its id suffix and its edge list are written down once per
+        shape of tuple, not derived per episode.
+        """
+        if not self.levels:
+            return
+        tuples = [self.levels[0][1][:, None]]
+        for parent, label, _ in self.levels[1:]:
+            tuples.append(np.column_stack((tuples[-1][parent], label)))
+        width = len(tuples)
+        padded, canons, codes, forms = [], [], [], []
+        for t in tuples:
+            order = np.argsort(t, axis=1, kind="stable")
+            canon = np.take_along_axis(t, order, axis=1)
+            shape = np.hstack((np.argsort(order, axis=1), canon[:, 1:] == canon[:, :-1]))
+            kinds, code = _distinct_rows(shape)
+            k = t.shape[1]
+            codes.append(code + len(forms))
+            forms += [_form(row[:k], row[k:], self.serial) for row in kinds.tolist()]
+            pad = ((0, 0), (0, width - k))
+            padded.append(np.pad(t, pad, constant_values=-1))
+            canons.append(np.pad(canon, pad))
+        order = np.lexsort(np.concatenate(padded).T[::-1])
+        canon = np.concatenate(canons)[order]
+        size = np.repeat(np.arange(1, width + 1), [len(t) for t in tuples])[order]
+        code = np.concatenate(codes)[order]
+        support = np.concatenate([level[2] for level in self.levels])[order]
+        for a in range(0, len(order), CHUNK):
+            b = a + CHUNK
+            for row, k, c, s in zip(canon[a:b].tolist(), size[a:b].tolist(),
+                                    code[a:b].tolist(), support[a:b].tolist()):
+                yield row[:k], forms[c], s
+
+    def __iter__(self):
+        symbols = self.symbols
+        for row, (closed, suffix, _, _), support in self._records():
             labels = tuple([symbols[r] for r in row])
-            closed, suffix = forms[c]
-            eids.append("-".join(labels) + suffix)
-            episodes.append(Episode(labels, closed))
-    padded = np.concatenate([np.pad(t, ((0, 0), (0, len(tuples) - t.shape[1])),
-                                    constant_values=-1) for t in tuples])
-    support = np.concatenate([level[2] for level in levels]).tolist()
-    return [Candidate(eids[i], episodes[i], support[i])
-            for i in np.lexsort(padded.T[::-1]).tolist()]
+            yield Candidate("-".join(labels) + suffix, Episode(labels, closed), support)
+
+    def lines(self, skip_repeats: int = 0):
+        """The episode-file line of every tuple but those of one label repeated
+        at most ``skip_repeats`` times: a serial search capped at that length
+        finds each of them as a serial episode, the same episode."""
+        escaped = [json.dumps(symbol)[1:-1] for symbol in self.symbols]
+        quoted = [f'"{text}"' for text in escaped]
+        for row, (_, suffix, edges, same), support in self._records():
+            if same and len(row) <= skip_repeats:
+                continue
+            yield record_line('"' + "-".join([escaped[r] for r in row]) + suffix + '"',
+                              "[" + ", ".join([quoted[r] for r in row]) + "]", edges, support)
 
 
-def _mine(dataset: Dataset, min_support: int, max_k: int, serial: bool) -> list[Candidate]:
+def _mine(dataset: Dataset, min_support: int, max_k: int, serial: bool) -> MinedEpisodes:
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
     if max_k < 1:
-        return []
-    return _emit(*_search(dataset, min_support, max_k, multisets=not serial), serial=serial)
+        return MinedEpisodes([], [], serial)
+    return MinedEpisodes(*_search(dataset, min_support, max_k, multisets=not serial),
+                         serial=serial)
 
 
-def mine_serial(dataset: Dataset, min_support: int, max_len: int) -> list[Candidate]:
+def mine_serial(dataset: Dataset, min_support: int, max_len: int) -> MinedEpisodes:
     """All serial episodes up to max_len with subsequence support >= min_support."""
     return _mine(dataset, min_support, max_len, serial=True)
 
 
-def mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> list[Candidate]:
+def mine_parallel(dataset: Dataset, min_support: int, max_size: int) -> MinedEpisodes:
     """Frequent label multisets, emitted as strictified (chained) episodes.
 
     A sequence supports a multiset when it holds every label with at least the

@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from episoderank.cli import main
@@ -201,22 +202,51 @@ class TestMineCommand:
         out = tmp_path / "mined.jsonl"
         assert main(["mine", "--data", str(corpus), "--min-support", "6", "--max-len", "4",
                      "--max-size", "2", "--merge-intersections", "--out", str(out)]) == 0
-        dataset = load_sequences(str(corpus))
-        expected = CandidateSet()
-        for mined in (dfs_mine_serial(dataset, 6, 4), dfs_mine_parallel(dataset, 6, 2)):
-            for cand in mined:
-                expected.add(cand.eid, cand.episode, cand.support)
-        merge_serial_intersections(expected, dataset, 6)
-        lines = []
-        for cand in expected:
-            edges = sorted(reduction_by_search(cand.episode))
-            assert cand.eid == "|".join(["-".join(cand.episode.labels)]
-                                        + [f"{u}<{v}" for u, v in edges])
-            lines.append(json.dumps({"id": cand.eid, "labels": list(cand.episode.labels),
-                                     "edges": [list(e) for e in edges],
-                                     "support": cand.support}) + "\n")
+        lines = _oracle_lines(load_sequences(str(corpus)), 6, 4, 2, merge=True)
         assert len(lines) > 100
         assert out.read_text() == "".join(lines)
+
+    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize("max_len,max_size", [(0, 2), (1, 2), (2, 3), (3, 3), (4, 2),
+                                                  (3, 0)])
+    def test_jsonl_matches_oracle_on_escaped_symbols(self, tmp_path, max_len, max_size, merge):
+        """Byte-equal to the oracle's lines around the serial/multiset overlap
+        (a multiset of one repeated label is also a serial episode), on symbols
+        that JSON escapes, interned out of sort order."""
+        symbols = ["\U0001d11e", "\u00e9", "z", "b", "\\", '"q"']  # reverse sort order
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng(seed)
+            rows = [symbols] + [list(rng.choice(symbols, size=int(rng.integers(1, 9))))
+                                for _ in range(60)]
+            corpus, out = tmp_path / f"corpus{seed}.txt", tmp_path / f"mined{seed}.jsonl"
+            corpus.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+            argv = ["mine", "--data", str(corpus), "--min-support", "4", "--max-len",
+                    str(max_len), "--max-size", str(max_size), "--out", str(out)]
+            assert main(argv + ["--merge-intersections"] * merge) == 0
+            lines = _oracle_lines(load_sequences(str(corpus)), 4, max_len, max_size, merge)
+            assert out.read_bytes() == "".join(lines).encode("ascii")
+
+
+def _oracle_lines(dataset, min_support: int, max_len: int, max_size: int,
+                  merge: bool) -> list[str]:
+    """The episode-file lines of the depth-first miners' episodes, gathered in one
+    CandidateSet, written with json.dumps."""
+    expected = CandidateSet()
+    for mined in (dfs_mine_serial(dataset, min_support, max_len),
+                  dfs_mine_parallel(dataset, min_support, max_size)):
+        for cand in mined:
+            expected.add(cand.eid, cand.episode, cand.support)
+    if merge:
+        merge_serial_intersections(expected, dataset, min_support)
+    lines = []
+    for cand in expected:
+        edges = sorted(reduction_by_search(cand.episode))
+        assert cand.eid == "|".join(["-".join(cand.episode.labels)]
+                                    + [f"{u}<{v}" for u, v in edges])
+        lines.append(json.dumps({"id": cand.eid, "labels": list(cand.episode.labels),
+                                 "edges": [list(e) for e in edges],
+                                 "support": cand.support}) + "\n")
+    return lines
 
 
 class TestCompareCommand:
@@ -349,6 +379,20 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "--min-support must be at least 1" in err and "Traceback" not in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--max-len", "--max-size"])
+    @pytest.mark.parametrize("command", ["mine", "rank"])
+    def test_negative_mining_cap_is_usage_error(self, workspace, tmp_path, capsys,
+                                                command, flag):
+        root, corpus, eps = workspace
+        out = tmp_path / "out"
+        argv = [command, "--data", str(corpus), "--out", str(out), flag, "-1"]
+        if command == "rank":
+            argv += ["--episodes", str(eps), "--no-timestamp", "--mine"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be at least 0" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("record", [
         '{"labels": ["a", "b"], "edges": []}',  # no id

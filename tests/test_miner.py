@@ -101,9 +101,14 @@ class TestMineParallel:
 
 
 def _assert_matches_oracle(ds, min_support: int, cap: int) -> None:
+    """Same candidates as the oracle, in order; ``len`` (perfbench's
+    ``miner.candidates``) counts them, and a second pass yields them again."""
     for mine, oracle in ((mine_serial, dfs_mine_serial), (mine_parallel, dfs_mine_parallel)):
-        assert ([(c.eid, c.episode, c.support) for c in mine(ds, min_support, cap)]
-                == [(c.eid, c.episode, c.support) for c in oracle(ds, min_support, cap)])
+        result = mine(ds, min_support, cap)
+        mined = [(c.eid, c.episode, c.support) for c in result]
+        assert mined == [(c.eid, c.episode, c.support) for c in oracle(ds, min_support, cap)]
+        assert len(result) == len(mined)
+        assert [(c.eid, c.episode, c.support) for c in result] == mined
 
 
 def _oracle_corpus(rng: np.random.Generator) -> list[str]:
@@ -127,6 +132,7 @@ class TestMinersAgainstOracle:
     @pytest.mark.parametrize("batch", [1, miner.BATCH_EVENTS])
     def test_random_corpora(self, batch, monkeypatch):
         monkeypatch.setattr(miner, "BATCH_EVENTS", batch)  # 1: one node per batch
+        monkeypatch.setattr(miner, "CHUNK", batch)  # 1: one tuple per chunk
         rng = np.random.default_rng(20240607)
         for _ in range(40):
             ds = dataset_from_strings(_oracle_corpus(rng))
