@@ -20,7 +20,6 @@ from .machine import (
     Machine,
     block_prefix,
     block_super,
-    brute_force_covers,
     build_machine,
     support,
 )
@@ -34,11 +33,9 @@ from .model import (
     fit,
     gradient_hessian,
     log_likelihood,
-    reach_probabilities,
 )
 from .ranking import (
     RankResult,
-    cover_probabilities,
     kendall_tau,
     rank,
     rank_episode,

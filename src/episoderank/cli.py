@@ -74,7 +74,10 @@ def _load_candidates(args: argparse.Namespace, dataset: datagen.Dataset) -> mine
 
 
 def _load_dataset(args: argparse.Namespace) -> datagen.Dataset:
-    """Load the corpus and refuse --exact past the limit before any mining starts."""
+    """Load the corpus and refuse --exact past the limit before any mining starts.
+
+    The one place the limit is enforced: rank and explain, the only commands
+    with --exact, both load through here first."""
     dataset = datagen.load_sequences(args.data)
     if args.exact and dataset.num_sequences > ranking.EXACT_LIMIT:
         raise datagen.DataError(
@@ -134,6 +137,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     dataset = _load_dataset(args)
     candidates = _load_candidates(args, dataset)
 
@@ -228,9 +233,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     lines = [f"episode {target.eid}: {episodes.describe(target.episode)}",
              machine_mod.render_machine(mach)]
     masks = episodes.prefix_graphs(target.episode)
-    rendered = ", ".join(
-        "{" + ",".join(target.episode.labels[v] for v in range(target.episode.n)
-                       if m >> v & 1) + "}" for m in masks)
+    rendered = ", ".join(episodes.vertex_set_label(target.episode, m) for m in masks)
     lines.append(f"prefix graphs ({len(masks)}): {rendered}")
 
     if args.block_w is not None:
@@ -252,12 +255,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
     scale = math.log(10.0) if args.log10 else 1.0
     for ev in result.evaluations:
         r = ev.result
-        detail = f"mu={r.mu:.6g} rank={r.rank / scale:.6g} method={r.method}"
-        if ev.params is not None:
-            weights = ",".join(f"{lab}:{w:.4g}" for lab, w in
-                               zip(ev.params.collapsed.classes, ev.params.u))
-            detail += f" u={{{weights}}} t1={ev.params.t1:.4g} t2={ev.params.t2:.4g}"
-        lines.append(f"model {ev.explainer}: {detail}")
+        weights = ",".join(f"{lab}:{w:.4g}" for lab, w in
+                           zip(ev.params.collapsed.classes, ev.params.u))
+        lines.append(f"model {ev.explainer}: mu={r.mu:.6g} rank={r.rank / scale:.6g} "
+                     f"method={r.method} u={{{weights}}} t1={ev.params.t1:.4g} "
+                     f"t2={ev.params.t2:.4g}")
     lines.append(f"support {result.support}")
     lines.append(f"winner {result.part.explainer}: rank_part={result.part.rank / scale:.6g} "
                  f"rank_ind={result.ind.rank / scale:.6g}")
@@ -266,9 +268,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     _write("\n".join(lines) + "\n", args.out)
 
     if args.dump_model:
+        # a corpus without events fits no model, so there is no winner to dump
         winner = next((ev for ev in result.evaluations
-                       if ev.explainer == result.part.explainer), result.evaluations[0])
-        params = winner.params.to_dict() if winner.params else {}
+                       if ev.explainer == result.part.explainer), None)
+        params = winner.params.to_dict() if winner else {}
         sys.stdout.write(json.dumps(params, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -284,6 +284,11 @@ def describe(episode: Episode) -> str:
     return "|".join(parts)
 
 
+def vertex_set_label(episode: Episode, mask: int) -> str:
+    """The labels of the vertices in ``mask``, in vertex order, as ``{a,b}``."""
+    return "{" + ",".join(episode.labels[v] for v in range(episode.n) if mask >> v & 1) + "}"
+
+
 # --- episode files (JSON lines) ---------------------------------------------
 
 def record_line(eid: str, labels: str, edges: str, support: int | None = None) -> str:

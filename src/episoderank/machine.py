@@ -12,7 +12,6 @@ the walk over the whole sequence ends in the sink state. The walk itself is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .episodes import (
     is_proper_superepisode_same_vertices,
     is_strict,
     prefix_graphs,
+    vertex_set_label,
 )
 from .model import support  # noqa: F401
 
@@ -48,7 +48,6 @@ class Machine:
         self.state_index = {mask: i for i, mask in enumerate(states)}
         self.source = 0
         self.sink = len(states) - 1
-        self._edge_by_src_vertex = {(e.src, e.vertex): idx for idx, e in enumerate(edges)}
         self.edge_src = np.array([e.src for e in edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in edges], dtype=np.intp)
         # the reach recursion's terms: every state's self-loop first, then the edges
@@ -61,10 +60,6 @@ class Machine:
     @property
     def num_states(self) -> int:
         return len(self.states)
-
-    def state_labels(self, state: int) -> list[str]:
-        mask = self.states[state]
-        return [self.episode.labels[v] for v in range(self.episode.n) if mask >> v & 1]
 
     def arrays(self, collapsed) -> MachineArrays:
         """The machine's arrays under a collapsed alphabet.
@@ -142,53 +137,6 @@ def build_machine(episode: Episode, vertex_cap: int = VERTEX_CAP,
     return Machine(episode, states, edges)
 
 
-def brute_force_covers(episode: Episode, sequence: Sequence[str]) -> bool:
-    """Backtracking oracle: injective label- and order-preserving embedding.
-
-    Exponential in the worst case; intended for small instances only
-    (|V| * |S| <= 64 or so) as an independent check of the greedy walk.
-    """
-    n = episode.n
-    if n == 0:
-        return True
-    preds = episode.predecessor_masks()
-    # vertices in a fixed topological order so parents are assigned first
-    topo: list[int] = []
-    placed = 0
-    remaining = list(range(n))
-    while remaining:
-        v = next(u for u in remaining if preds[u] & ~placed == 0)
-        topo.append(v)
-        placed |= 1 << v
-        remaining.remove(v)
-
-    positions_by_label: dict[str, list[int]] = {}
-    for i, s in enumerate(sequence):
-        positions_by_label.setdefault(s, []).append(i)
-
-    assigned = [0] * n  # vertex -> sequence position
-
-    def assign(depth: int, used: int) -> bool:
-        if depth == n:
-            return True
-        v = topo[depth]
-        lo = -1
-        pm = preds[v]
-        while pm:
-            bit = pm & -pm
-            lo = max(lo, assigned[bit.bit_length() - 1])
-            pm ^= bit
-        for pos in positions_by_label.get(episode.labels[v], ()):  # ascending
-            if pos <= lo or used >> pos & 1:
-                continue
-            assigned[v] = pos
-            if assign(depth + 1, used | 1 << pos):
-                return True
-        return False
-
-    return assign(0, 0)
-
-
 # --- boosted edge sets --------------------------------------------------------
 
 def block_prefix(machine: Machine, w_mask: int) -> frozenset[int]:
@@ -205,41 +153,34 @@ def block_prefix(machine: Machine, w_mask: int) -> frozenset[int]:
     return frozenset(picked)
 
 
-def block_super(machine: Machine, stricter: Episode,
-                vertex_cap: int = VERTEX_CAP, state_cap: int = STATE_CAP) -> frozenset[int]:
+def block_super(machine: Machine, stricter: Episode) -> frozenset[int]:
     """Edges of this machine mirrored from a same-vertex stricter episode.
 
-    Every state of the stricter episode's machine is also a state here (its
-    edge set is a superset, so its ancestor-closed sets remain ancestor
-    closed); each of its non-source edges adds the same vertex from the same
-    state mask and is therefore present here as well.
+    The stricter episode's machine is the part of this one closed under its
+    order: its states are the states here that are ancestor-closed under the
+    stricter order (its edge set is a superset, so they are states here too),
+    and its edges are the edges here that leave such a state and add a vertex
+    whose stricter predecessors that state already holds. The non-source ones
+    are picked here without building that machine.
     """
     if not is_proper_superepisode_same_vertices(machine.episode, stricter):
         raise ValueError("second episode must be a proper same-vertex superepisode")
-    other = build_machine(stricter, vertex_cap=vertex_cap, state_cap=state_cap)
-    picked = []
-    for e in other.edges:
-        src_mask = other.states[e.src]
-        if src_mask == 0:
-            continue
-        src_here = machine.state_index[src_mask]
-        picked.append(machine._edge_by_src_vertex[(src_here, e.vertex)])
-    return frozenset(picked)
+    preds = stricter.predecessor_masks()
+    closed = [all(preds[v] & ~mask == 0 for v in range(stricter.n) if mask >> v & 1)
+              for mask in machine.states]
+    return frozenset(idx for idx, e in enumerate(machine.edges)
+                     if e.src != machine.source and closed[e.src]
+                     and preds[e.vertex] & ~machine.states[e.src] == 0)
 
 
 # --- textual rendering ---------------------------------------------------------
-
-def _state_name(machine: Machine, state: int) -> str:
-    labels = machine.state_labels(state)
-    return "{" + ",".join(labels) + "}"
-
 
 def render_machine(machine: Machine, highlights: dict[str, frozenset[int]] | None = None) -> str:
     """Deterministic multi-line description of states, edges and edge sets."""
     lines = [f"machine: {machine.num_states} states, {len(machine.edges)} edges"]
     for i in range(machine.num_states):
         tag = " (source)" if i == machine.source else (" (sink)" if i == machine.sink else "")
-        lines.append(f"  state {i} {_state_name(machine, i)}{tag}")
+        lines.append(f"  state {i} {vertex_set_label(machine.episode, machine.states[i])}{tag}")
     for idx, e in enumerate(machine.edges):
         lines.append(f"  edge {idx}: {e.src} -{e.label}-> {e.dst}")
     for name in sorted(highlights or {}):

@@ -421,9 +421,3 @@ def reach_table(machine: Machine, stay: np.ndarray, edge_p: np.ndarray,
     for k in range(1, max_length + 1):
         prev = table[k] = np.bincount(dst, weights=weight * prev[src], minlength=S)
     return table
-
-
-def reach_probabilities(machine: Machine, params: ModelParams, spec: PartitionSpec,
-                        max_length: int) -> np.ndarray:
-    stay, edge_p = transition_rates(machine, params, spec)
-    return reach_table(machine, stay, edge_p, max_length)

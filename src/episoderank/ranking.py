@@ -1,19 +1,22 @@
-"""Turning cover probabilities into surprise ranks.
+"""Turning fitted models into surprise ranks.
 
 The observed support is a sum of independent per-sequence Bernoulli indicators
 whose success probabilities depend only on sequence length, so its exact law is
 Poisson-binomial: a convolution of one binomial per length class. The rank of
 an episode under a model is the negative log survival probability of the
 observed support; large rank = the model considers the support abnormally high.
-The combined rank takes the best explanation over all prefix partitions and all
-same-vertex stricter candidates.
+
+:func:`rank` is the one path from a fitted model to a rank: one reach
+recursion up to the longest sequence, the sink column read at every length,
+then the tail. :func:`rank_episode` lists the family of models (independence,
+every proper prefix split, every same-vertex stricter candidate) and evaluates
+it in one loop; the combined rank is the lowest over that family.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
 
 from .datagen import DataError, Dataset
-from .episodes import Episode, EpisodeError, prefix_graphs
+from .episodes import Episode, EpisodeError, prefix_graphs, vertex_set_label
 from .machine import Machine, block_prefix, block_super, build_machine
 from .miner import CandidateSet
 from .model import (
@@ -37,37 +40,8 @@ from .model import (
 )
 
 POISSON_MU_MAX = 10.0  # below this the normal approximation is unreliable
-EXACT_LIMIT = 5_000
+EXACT_LIMIT = 5_000  # most sequences the CLI lets --exact run on
 INDEPENDENCE = "independence"
-
-
-@dataclass
-class CoverProbabilities:
-    """Model probability of covering the episode, per sequence length."""
-
-    p_by_length: dict[int, float]
-    length_counts: dict[int, int]
-
-    @property
-    def mu(self) -> float:
-        return sum(c * self.p_by_length[k] for k, c in self.length_counts.items())
-
-    @property
-    def sigma2(self) -> float:
-        return sum(c * self.p_by_length[k] * (1.0 - self.p_by_length[k])
-                   for k, c in self.length_counts.items())
-
-
-def cover_probabilities(machine: Machine, params: ModelParams, spec: PartitionSpec,
-                        dataset: Dataset) -> CoverProbabilities:
-    """One reach recursion up to the longest sequence; read off the sink row."""
-    counts = dataset.length_counts()
-    if not counts:
-        return CoverProbabilities({}, {})
-    stay, edge_p = transition_rates(machine, params, spec)
-    table = reach_table(machine, stay, edge_p, max(counts))
-    sink = table[:, machine.sink]
-    return CoverProbabilities({k: float(sink[k]) for k in counts}, dict(counts))
 
 
 # --- tail probabilities -----------------------------------------------------------
@@ -178,31 +152,25 @@ class RankResult:
 
 
 def rank(machine: Machine, params: ModelParams, spec: PartitionSpec, dataset: Dataset,
-         observed: int, exact: bool = False, exact_limit: int = EXACT_LIMIT,
-         explainer: str = INDEPENDENCE) -> RankResult:
+         observed: int, exact: bool = False, explainer: str = INDEPENDENCE) -> RankResult:
     """Rank the observed support against the model's support distribution.
 
-    Uses the Poisson approximation when the expected support is small (at most
-    10), the corrected normal approximation otherwise, or the exact
-    Poisson-binomial law on request.
+    The cover probability of a sequence of length k is the sink entry of row
+    k of one reach recursion. Uses the Poisson approximation when the expected
+    support is small (at most 10), the corrected normal approximation
+    otherwise, or the exact Poisson-binomial law on request.
     """
-    cp = cover_probabilities(machine, params, spec, dataset)
-    return rank_from_cover(cp, observed, exact=exact, exact_limit=exact_limit,
-                           explainer=explainer)
-
-
-def rank_from_cover(cp: CoverProbabilities, observed: int, exact: bool = False,
-                    exact_limit: int = EXACT_LIMIT, explainer: str = INDEPENDENCE) -> RankResult:
-    mu, sigma2 = cp.mu, cp.sigma2
+    counts = dataset.length_counts()  # keyed in order of first appearance
+    stay, edge_p = transition_rates(machine, params, spec)
+    sink = reach_table(machine, stay, edge_p, max(counts, default=0))[:, machine.sink]
+    p = {k: float(sink[k]) for k in counts}
+    mu = sum(c * p[k] for k, c in counts.items())
+    sigma2 = sum(c * p[k] * (1.0 - p[k]) for k, c in counts.items())
     zscore = (observed - 0.5 - mu) / math.sqrt(sigma2) if sigma2 > 0 else None
     if exact:
-        lengths = sorted(cp.length_counts)
-        counts = [cp.length_counts[k] for k in lengths]
-        if sum(counts) > exact_limit:
-            raise EpisodeError(
-                f"exact tail limited to {exact_limit} sequences, dataset has {sum(counts)}")
-        method, log_surv = "exact", tail_exact([cp.p_by_length[k] for k in lengths],
-                                               observed, counts)
+        lengths = sorted(counts)
+        method, log_surv = "exact", tail_exact([p[k] for k in lengths], observed,
+                                               [counts[k] for k in lengths])
     elif mu <= POISSON_MU_MAX:
         method, log_surv = "poisson", tail_poisson(mu, observed)
     else:
@@ -216,7 +184,7 @@ def rank_from_cover(cp: CoverProbabilities, observed: int, exact: bool = False,
 class SpecEvaluation:
     explainer: str
     spec: PartitionSpec
-    params: ModelParams | None
+    params: ModelParams
     result: RankResult
 
 
@@ -234,11 +202,6 @@ class EpisodeRanking:
         return rho_eta(self.ind.rank, self.part.rank)
 
 
-def _prefix_label_set(machine: Machine, mask: int) -> str:
-    labels = [machine.episode.labels[v] for v in range(machine.episode.n) if mask >> v & 1]
-    return "{" + ",".join(labels) + "}"
-
-
 def _beats(cand: RankResult, best: RankResult | None) -> bool:
     """True when ``cand`` ranks lower than ``best`` as printed (10 significant
     digits): among models whose ranks print alike, the first evaluated wins,
@@ -251,9 +214,10 @@ def rank_episode(eid: str, episode: Episode, dataset: Dataset,
                  keep_evaluations: bool = False) -> EpisodeRanking:
     """Full pipeline for one episode: statistics, every partition model, both ranks.
 
-    Statistics are collected once and reused by every model; prefix partitions
-    whose boosted sets are both empty are the independence model and reuse its
-    cached rank instead of refitting.
+    Statistics are collected once and reused by every model. The partition
+    models are every proper prefix split in prefix-graph order, then every
+    stricter candidate in input order; a model that boosts no edge is the
+    independence model and reuses its rank instead of refitting.
     """
     machine = build_machine(episode)
     collapsed = collapse_alphabet(dataset.alphabet, episode)
@@ -265,42 +229,31 @@ def rank_episode(eid: str, episode: Episode, dataset: Dataset,
 
     params0 = fit(machine, EMPTY_SPEC, stats)
     ind = rank(machine, params0, EMPTY_SPEC, dataset, observed, exact=exact)
-    evaluations = [SpecEvaluation(INDEPENDENCE, EMPTY_SPEC, params0, ind)]
 
-    full_mask = (1 << episode.n) - 1
+    full = (1 << episode.n) - 1
+    models = [(f"prefix:{vertex_set_label(episode, w)}",
+               PartitionSpec(block_prefix(machine, w), block_prefix(machine, full ^ w)))
+              for w in prefix_graphs(episode) if w not in (0, full)]
+    if candidates is not None:
+        models += [(f"super:{sup.eid}",
+                    PartitionSpec(block_super(machine, sup.episode), frozenset()))
+                   for sup in candidates.superepisodes_of(episode)]
+
+    evaluations = [SpecEvaluation(INDEPENDENCE, EMPTY_SPEC, params0, ind)]
     best: RankResult | None = None
-    for w_mask in prefix_graphs(episode):
-        if w_mask == 0 or w_mask == full_mask:
-            continue
-        spec = PartitionSpec(block_prefix(machine, w_mask),
-                             block_prefix(machine, full_mask ^ w_mask))
+    for explainer, spec in models:
         if spec.is_empty:
-            cand = ind  # boosting nothing: this partition is the independence model
-            if keep_evaluations:
-                evaluations.append(SpecEvaluation(
-                    f"prefix:{_prefix_label_set(machine, w_mask)}", spec, params0, ind))
+            params, cand = params0, ind
         else:
             params = fit(machine, spec, stats)
             cand = rank(machine, params, spec, dataset, observed, exact=exact,
-                        explainer=f"prefix:{_prefix_label_set(machine, w_mask)}")
-            if keep_evaluations:
-                evaluations.append(SpecEvaluation(cand.explainer, spec, params, cand))
+                        explainer=explainer)
+        if keep_evaluations:
+            evaluations.append(SpecEvaluation(explainer, spec, params, cand))
         if _beats(cand, best):
             best = cand
 
-    if candidates is not None:
-        for sup in candidates.superepisodes_of(episode):
-            spec = PartitionSpec(block_super(machine, sup.episode), frozenset())
-            params = fit(machine, spec, stats)
-            cand = rank(machine, params, spec, dataset, observed, exact=exact,
-                        explainer=f"super:{sup.eid}")
-            if keep_evaluations:
-                evaluations.append(SpecEvaluation(cand.explainer, spec, params, cand))
-            if _beats(cand, best):
-                best = cand
-
-    part = best if best is not None else ind
-    return EpisodeRanking(eid, episode, observed, ind, part,
+    return EpisodeRanking(eid, episode, observed, ind, best or ind,
                           evaluations if keep_evaluations else [])
 
 
@@ -340,20 +293,25 @@ _WORKER: dict = {}
 
 
 def _init_worker(dataset: Dataset, candidates: CandidateSet | None, exact: bool) -> None:
-    _WORKER["dataset"] = dataset
-    _WORKER["candidates"] = candidates
-    _WORKER["exact"] = exact
+    _WORKER.update(dataset=dataset, candidates=candidates, exact=exact)
 
 
-def _rank_chunk(chunk: list[tuple[str, Episode]]):
-    return [_rank_one_safe(eid, episode, _WORKER["dataset"], _WORKER["candidates"],
-                           _WORKER["exact"]) for eid, episode in chunk]
+def _rank_safe(eid, episode, dataset, candidates, exact):
+    try:
+        return rank_episode(eid, episode, dataset, candidates, exact=exact)
+    except (EpisodeError, NumericalFitError) as exc:
+        return (eid, str(exc))
+
+
+def _rank_one(item: tuple[str, Episode]):
+    return _rank_safe(*item, **_WORKER)
 
 
 def rank_many(episodes: list[tuple[str, Episode]], dataset: Dataset,
               candidates: CandidateSet | None = None, exact: bool = False,
               threads: int = 1) -> tuple[list[EpisodeRanking], list[tuple[str, str]]]:
-    """Rank a batch of episodes, optionally across worker processes.
+    """Rank a batch of episodes, optionally across at most ``threads`` worker
+    processes.
 
     Results come back in input order whatever the schedule; per-episode size
     and fitting failures are collected instead of aborting the batch.
@@ -362,36 +320,16 @@ def rank_many(episodes: list[tuple[str, Episode]], dataset: Dataset,
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork: run in-process
         ctx = None
-    if threads <= 1 or len(episodes) < 4 or ctx is None:
-        raw = [_rank_one_safe(eid, ep, dataset, candidates, exact) for eid, ep in episodes]
+    workers = min(threads, len(episodes))
+    if workers <= 1 or len(episodes) < 4 or ctx is None:
+        raw = [_rank_safe(eid, ep, dataset, candidates, exact) for eid, ep in episodes]
     else:
-        stride = threads * 4
-        chunks = [episodes[i::stride] for i in range(stride)]
-        with futures.ProcessPoolExecutor(
-                max_workers=threads, mp_context=ctx,
-                initializer=_init_worker, initargs=(dataset, candidates, exact)) as pool:
-            chunk_results = list(pool.map(_rank_chunk, chunks))
-        # stitch the strided chunks back into input order
-        raw = [None] * len(episodes)
-        for start, results in enumerate(chunk_results):
-            for within, value in enumerate(results):
-                raw[start + within * stride] = value
-
-    rows: list[EpisodeRanking] = []
-    errors: list[tuple[str, str]] = []
-    for value in raw:
-        if isinstance(value, EpisodeRanking):
-            rows.append(value)
-        else:
-            errors.append(value)  # type: ignore[arg-type]
+        chunksize = math.ceil(len(episodes) / (4 * threads))
+        with ctx.Pool(workers, _init_worker, (dataset, candidates, exact)) as pool:
+            raw = pool.map(_rank_one, episodes, chunksize=chunksize)
+    rows = [value for value in raw if isinstance(value, EpisodeRanking)]
+    errors = [value for value in raw if not isinstance(value, EpisodeRanking)]
     return rows, errors
-
-
-def _rank_one_safe(eid, episode, dataset, candidates, exact):
-    try:
-        return rank_episode(eid, episode, dataset, candidates, exact=exact)
-    except (EpisodeError, NumericalFitError) as exc:
-        return (eid, str(exc))
 
 
 # --- report ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ with arrays, plus small wrappers that only tests use.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -16,6 +16,7 @@ from episoderank.episodes import (
     Episode,
     EpisodeError,
     describe,
+    is_proper_superepisode_same_vertices,
     make_episode,
     parallel,
     serial,
@@ -57,6 +58,70 @@ def out_edges(machine: Machine) -> list[list[int]]:
     for idx, e in enumerate(machine.edges):
         found[e.src].append(idx)
     return found
+
+
+def brute_force_covers(episode: Episode, sequence: Sequence[str]) -> bool:
+    """Backtracking oracle: injective label- and order-preserving embedding.
+
+    Exponential in the worst case; intended for small instances only
+    (|V| * |S| <= 64 or so) as an independent check of the greedy walk.
+    """
+    n = episode.n
+    if n == 0:
+        return True
+    preds = episode.predecessor_masks()
+    # vertices in a fixed topological order so parents are assigned first
+    topo: list[int] = []
+    placed = 0
+    remaining = list(range(n))
+    while remaining:
+        v = next(u for u in remaining if preds[u] & ~placed == 0)
+        topo.append(v)
+        placed |= 1 << v
+        remaining.remove(v)
+
+    positions_by_label: dict[str, list[int]] = {}
+    for i, s in enumerate(sequence):
+        positions_by_label.setdefault(s, []).append(i)
+
+    assigned = [0] * n  # vertex -> sequence position
+
+    def assign(depth: int, used: int) -> bool:
+        if depth == n:
+            return True
+        v = topo[depth]
+        lo = -1
+        pm = preds[v]
+        while pm:
+            bit = pm & -pm
+            lo = max(lo, assigned[bit.bit_length() - 1])
+            pm ^= bit
+        for pos in positions_by_label.get(episode.labels[v], ()):  # ascending
+            if pos <= lo or used >> pos & 1:
+                continue
+            assigned[v] = pos
+            if assign(depth + 1, used | 1 << pos):
+                return True
+        return False
+
+    return assign(0, 0)
+
+
+def block_super_by_machine(machine: Machine, stricter: Episode) -> frozenset[int]:
+    """``block_super`` by building the stricter episode's machine and mapping
+    each of its non-source edges to the edge here that leaves the same state
+    mask and adds the same vertex."""
+    if not is_proper_superepisode_same_vertices(machine.episode, stricter):
+        raise ValueError("second episode must be a proper same-vertex superepisode")
+    other = build_machine(stricter)
+    edge_by_src_vertex = {(e.src, e.vertex): idx for idx, e in enumerate(machine.edges)}
+    picked = []
+    for e in other.edges:
+        src_mask = other.states[e.src]
+        if src_mask == 0:
+            continue
+        picked.append(edge_by_src_vertex[(machine.state_index[src_mask], e.vertex)])
+    return frozenset(picked)
 
 
 def transitions(machine: Machine) -> list[dict[str, int]]:

@@ -24,7 +24,6 @@ from episoderank.episodes import make_episode, parallel, serial
 from episoderank.machine import (
     block_prefix,
     block_super,
-    brute_force_covers,
     build_machine,
     support,
 )
@@ -38,7 +37,8 @@ from episoderank.model import (
     fit,
     gradient_hessian,
     log_likelihood,
-    reach_probabilities,
+    reach_table,
+    transition_rates,
 )
 from episoderank.ranking import (
     rank,
@@ -52,7 +52,13 @@ from episoderank.ranking import (
 )
 
 from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
-from oracles import covers, greedy, sequence_log_prob, transition_rates_from_probs
+from oracles import (
+    brute_force_covers,
+    covers,
+    greedy,
+    sequence_log_prob,
+    transition_rates_from_probs,
+)
 
 GAP_SEED = 4
 PLANT_SEED = 1
@@ -164,7 +170,7 @@ def test_criterion_4_reach_probability_oracle():
         spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
         params = ModelParams(col, u, float(rng.normal()), float(rng.normal()), col.star)
         n = 5
-        table = reach_probabilities(m, params, spec, n)
+        table = reach_table(m, *transition_rates(m, params, spec), n)
         exact = np.zeros(m.num_states)
         for seq in itertools.product(col.classes, repeat=n):
             exact[greedy(m, seq)] += math.exp(sequence_log_prob(m, params, spec, seq))

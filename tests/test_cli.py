@@ -311,6 +311,15 @@ class TestExplainCommand:
         params = json.loads(last)
         assert {"u", "t1", "t2"} <= set(params)
 
+    def test_dump_model_without_events_is_empty(self, workspace, tmp_path, capsys):
+        root, _, eps = workspace
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n\n")
+        rc = main(["explain", "--data", str(blank), "--episodes", str(eps),
+                   "--id", "pair-parallel", "--dump-model"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "{}"
+
     def test_block_w_rendering(self, workspace, capsys):
         root, corpus, eps = workspace
         rc = main(["explain", "--data", str(corpus), "--episodes", str(eps),
@@ -444,6 +453,22 @@ class TestExitCodes:
                    "--no-timestamp", "--out", str(tmp_path / "out.tsv")])
         assert rc == 1
         assert "Traceback" not in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flag,env", [(["--threads", "0"], None),
+                                          (["--threads", "-2"], None), ([], "0")])
+    def test_threads_below_one_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys,
+                                              flag, env):
+        root, corpus, eps = workspace
+        if env is not None:
+            monkeypatch.setenv("EPISODERANK_THREADS", env)
+        out = tmp_path / "out.tsv"
+        rc = main(["rank", "--data", str(corpus), "--episodes", str(eps), "--no-timestamp",
+                   "--out", str(out)] + flag)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--threads must be at least 1" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

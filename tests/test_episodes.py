@@ -21,10 +21,9 @@ from episoderank.episodes import (
     strictify,
     transitive_reduction,
 )
-from episoderank.machine import brute_force_covers
 
 from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
-from oracles import reduction_by_search, transitive_closure
+from oracles import brute_force_covers, reduction_by_search, transitive_closure
 
 # the four-vertex diamond used throughout: a before b and c, both before d
 DIAMOND_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3)]

@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 
 from episoderank.datagen import dataset_from_strings
-from episoderank.episodes import make_episode, parallel, prefix_graphs, serial
+from episoderank.episodes import (
+    is_proper_superepisode_same_vertices,
+    make_episode,
+    parallel,
+    prefix_graphs,
+    serial,
+)
 from episoderank.machine import (
     Machine,
     block_prefix,
     block_super,
-    brute_force_covers,
     build_machine,
     render_machine,
     support,
 )
 
 from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
-from oracles import covers, greedy, out_edges
+from oracles import block_super_by_machine, brute_force_covers, covers, greedy, out_edges
 
 
 def diamond():
@@ -228,6 +233,16 @@ class TestBlockSuper:
             assert set(other.states) <= set(m.states)
             non_source = sum(1 for e in other.edges if other.states[e.src] != 0)
             assert len(block_super(m, h)) == non_source
+
+    def test_matches_the_stricter_machine_on_every_pair(self):
+        episodes = {(e.labels, e.edges): e for e in
+                    enumerate_strict_episodes(4, "ab") + enumerate_strict_episodes(3, "abc")}
+        pairs = [(g, h) for g in episodes.values() for h in episodes.values()
+                 if is_proper_superepisode_same_vertices(g, h)]
+        assert len(pairs) == 255  # distinct: both sets hold the episodes of up to 3 "ab" vertices
+        for g, h in pairs:
+            m = build_machine(g)
+            assert block_super(m, h) == block_super_by_machine(m, h), (g, h)
 
     def test_rejects_non_superepisode(self):
         m = build_machine(parallel("ab"))

@@ -4,7 +4,7 @@ import pytest
 from episoderank import miner
 from episoderank.datagen import dataset_from_strings, default_config, generate
 from episoderank.episodes import induced, make_episode, parallel, serial, strictify
-from episoderank.machine import brute_force_covers, build_machine, support
+from episoderank.machine import build_machine, support
 from episoderank.miner import (
     CandidateSet,
     merge_serial_intersections,
@@ -13,7 +13,13 @@ from episoderank.miner import (
 )
 
 from conftest import random_strict_episode
-from oracles import count_supports, dfs_mine_parallel, dfs_mine_serial, symbol_rows
+from oracles import (
+    brute_force_covers,
+    count_supports,
+    dfs_mine_parallel,
+    dfs_mine_serial,
+    symbol_rows,
+)
 
 
 def by_episode(candidates) -> dict:

@@ -28,7 +28,6 @@ from episoderank.model import (
     fit,
     gradient_hessian,
     log_likelihood,
-    reach_probabilities,
     reach_table,
     transition_rates,
 )
@@ -529,7 +528,7 @@ class TestReach:
             edges = list(range(len(m.edges)))
             rng.shuffle(edges)
             spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
-            table = reach_probabilities(m, params, spec, 4)
+            table = reach_table(m, *transition_rates(m, params, spec), 4)
             exact = np.zeros(m.num_states)
             for seq in itertools.product(col.classes, repeat=4):
                 exact[greedy(m, seq)] += math.exp(sequence_log_prob(m, params, spec, seq))
@@ -556,7 +555,7 @@ class TestReach:
         previous = -1.0
         for t1 in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]:
             params = ModelParams(col, u, t1, 0.0, 3)
-            sink_p = reach_probabilities(m, params, spec, 12)[12, m.sink]
+            sink_p = reach_table(m, *transition_rates(m, params, spec), 12)[12, m.sink]
             assert sink_p >= previous
             previous = sink_p
 

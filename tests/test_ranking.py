@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from episoderank.datagen import dataset_from_strings
-from episoderank.episodes import EpisodeError, make_episode, parallel, serial
+from episoderank.episodes import make_episode, parallel, serial
 from episoderank.machine import build_machine, support
 from episoderank.miner import CandidateSet
 from episoderank.model import (
@@ -14,12 +14,12 @@ from episoderank.model import (
     ModelParams,
     collect_statistics,
     fit,
+    reach_table,
+    transition_rates,
 )
 from episoderank.ranking import (
-    CoverProbabilities,
     EpisodeRanking,
     RankResult,
-    cover_probabilities,
     kendall_tau,
     parse_report,
     rank,
@@ -39,6 +39,13 @@ from oracles import rank_combined
 LOG_SURVIVAL_Z5 = -15.064998393988726
 
 
+def cover_by_length(machine, params, spec, dataset) -> dict[int, float]:
+    """Cover probability of each sequence length: the sink column of one reach table."""
+    counts = dataset.length_counts()
+    table = reach_table(machine, *transition_rates(machine, params, spec), max(counts))
+    return {k: float(table[k, machine.sink]) for k in counts}
+
+
 class TestCoverProbabilities:
     def test_episode_longer_than_sequences(self):
         ds = dataset_from_strings(["ab", "ba"])
@@ -46,8 +53,8 @@ class TestCoverProbabilities:
         m = build_machine(ep)
         stats, _ = collect_statistics(m, ds)
         params = fit(m, EMPTY_SPEC, stats)
-        cp = cover_probabilities(m, params, EMPTY_SPEC, ds)
-        assert cp.mu == 0.0 and all(p == 0.0 for p in cp.p_by_length.values())
+        assert rank(m, params, EMPTY_SPEC, ds, 0).mu == 0.0
+        assert all(p == 0.0 for p in cover_by_length(m, params, EMPTY_SPEC, ds).values())
 
     def test_single_vertex_closed_form(self):
         rows = ["a" * 3, "b" * 5, "ab" * 4, "ba" * 6]
@@ -57,8 +64,7 @@ class TestCoverProbabilities:
         col = CollapsedAlphabet(("a", "*"), 1, {"a": 0})
         q = 0.37
         params = ModelParams(col, np.array([math.log(q / (1 - q)), 0.0]), 0.0, 0.0, 1)
-        cp = cover_probabilities(m, params, EMPTY_SPEC, ds)
-        for k, p in cp.p_by_length.items():
+        for k, p in cover_by_length(m, params, EMPTY_SPEC, ds).items():
             assert p == pytest.approx(1.0 - (1.0 - q) ** k, abs=1e-12)
 
     def test_p_monotone_in_length(self):
@@ -67,9 +73,27 @@ class TestCoverProbabilities:
         m = build_machine(ep)
         stats, _ = collect_statistics(m, ds)
         params = fit(m, EMPTY_SPEC, stats)
-        cp = cover_probabilities(m, params, EMPTY_SPEC, ds)
-        ordered = [cp.p_by_length[k] for k in sorted(cp.p_by_length)]
+        p = cover_by_length(m, params, EMPTY_SPEC, ds)
+        ordered = [p[k] for k in sorted(p)]
         assert ordered == sorted(ordered)
+
+    def test_rank_sums_cover_over_length_classes(self):
+        # mu and sigma2 add the length classes in order of first appearance;
+        # the exact tail convolves them in order of length
+        ds = dataset_from_strings(["abcdabcd", "ab", "abcd", "aabbccdd", "ab", "abcab"])
+        m = build_machine(make_episode(["a", "b", "c"], [(0, 2)]))
+        stats, observed = collect_statistics(m, ds)
+        params = fit(m, EMPTY_SPEC, stats)
+        p = cover_by_length(m, params, EMPTY_SPEC, ds)
+        counts = ds.length_counts()
+        assert list(counts) == [8, 2, 4, 5]
+        for exact in (False, True):
+            r = rank(m, params, EMPTY_SPEC, ds, observed, exact=exact)
+            assert r.mu == sum(c * p[k] for k, c in counts.items())
+            assert r.sigma2 == sum(c * p[k] * (1.0 - p[k]) for k, c in counts.items())
+        lengths = sorted(counts)
+        expected = tail_exact([p[k] for k in lengths], observed, [counts[k] for k in lengths])
+        assert rank(m, params, EMPTY_SPEC, ds, observed, exact=True).rank == -expected
 
 
 class TestTailExact:
@@ -268,20 +292,14 @@ class TestRank:
         assert r2.mu > 10.0 and r2.method == "normal"
 
     def test_impossible_support_gives_infinite_rank(self):
-        cp = CoverProbabilities({2: 0.0}, {2: 3})
-        from episoderank.ranking import rank_from_cover
-
+        # no sequence is long enough to cover the episode, yet two are said to
+        ds = dataset_from_strings(["ab", "ba", "ab"])
+        m = build_machine(serial("abc"))
+        stats, _ = collect_statistics(m, ds)
+        params = fit(m, EMPTY_SPEC, stats)
         for exact in (False, True):
-            r = rank_from_cover(cp, 2, exact=exact)
+            r = rank(m, params, EMPTY_SPEC, ds, 2, exact=exact)
             assert r.mu == 0.0 and r.rank == math.inf
-
-    def test_exact_limit_counts_sequences(self):
-        from episoderank.ranking import rank_from_cover
-
-        cp = CoverProbabilities({2: 0.5, 3: 0.6}, {2: 2, 3: 2})
-        assert rank_from_cover(cp, 1, exact=True, exact_limit=4).method == "exact"
-        with pytest.raises(EpisodeError):
-            rank_from_cover(cp, 1, exact=True, exact_limit=3)
 
 
 class TestRankCombined:
@@ -373,6 +391,51 @@ class TestRankCombined:
         ds = self._follower_corpus(rng)
         r = rank_combined(parallel("ab"), ds)
         assert r.observed == support(build_machine(parallel("ab")), ds)
+
+
+class TestRankMany:
+    def test_pool_gets_at_most_one_worker_per_episode(self, monkeypatch):
+        # a stand-in pool runs the workers' calls in this process and records
+        # what it was asked for; no process is started
+        from types import SimpleNamespace
+
+        from episoderank import ranking
+
+        asked = []
+
+        class InlinePool:
+            def __init__(self, processes, initializer, initargs):
+                initializer(*initargs)
+                self.processes = processes
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items, chunksize):
+                asked.append((self.processes, chunksize))
+                return [func(item) for item in items]
+
+        monkeypatch.setattr(ranking, "_WORKER", {})
+        monkeypatch.setattr(ranking, "multiprocessing", SimpleNamespace(
+            get_context=lambda method: SimpleNamespace(Pool=InlinePool)))
+        rng = np.random.default_rng(12)
+        ds = dataset_from_strings(["".join(rng.choice(list("abuvw"), size=8))
+                                   for _ in range(60)])
+        eps = [(f"s-{x}{y}", serial(x + y)) for x in "abu" for y in "abu" if x != y]
+        candidates = CandidateSet()
+        for eid, ep in eps:
+            candidates.add(eid, ep)
+        in_process = rank_many(eps, ds, candidates, threads=1)
+        # (workers, chunksize) per pool; one thread or three episodes start none
+        for threads, expected in ((64, [(6, 1)]), (2, [(2, 1)]), (1, [])):
+            assert rank_many(eps, ds, candidates, threads=threads) == in_process
+            assert asked == expected
+            asked.clear()
+        assert rank_many(eps[:3], ds, candidates, threads=2) == rank_many(eps[:3], ds, candidates)
+        assert asked == []
 
 
 class TestTwoClusterCorpus:
