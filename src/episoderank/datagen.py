@@ -58,8 +58,9 @@ class Dataset:
     positions of every label, sorted by label, are built on the first call of
     :meth:`positions_of`; they are what makes an episode's scan cheap, since
     only events whose label occurs in the episode can move its machine. The
-    sequence number of every event is likewise built on first use of
-    :attr:`sequence_ids`.
+    number of events of every label (:meth:`label_counts`) and the sequence
+    number of every event (:attr:`sequence_ids`) are likewise built on first
+    use.
     """
 
     def __init__(self, alphabet: Alphabet, tokens: np.ndarray, offsets: np.ndarray):
@@ -67,6 +68,7 @@ class Dataset:
         self.tokens = tokens
         self.offsets = offsets
         self._positions: tuple[np.ndarray, np.ndarray] | None = None
+        self._label_counts: np.ndarray | None = None
         self._sequence_ids: np.ndarray | None = None
         self._length_counts: dict[int, int] | None = None
 
@@ -106,15 +108,19 @@ class Dataset:
             self._sequence_ids = np.repeat(np.arange(self.num_sequences), np.diff(self.offsets))
         return self._sequence_ids
 
-    def positions_of(self, label_ids: Iterable[int]) -> np.ndarray:
-        """Ascending flat positions of the events carrying any of the labels."""
+    def label_counts(self) -> np.ndarray:
+        """Number of events of each label id."""
+        if self._label_counts is None:
+            self._label_counts = np.bincount(self.tokens, minlength=len(self.alphabet))
+        return self._label_counts
+
+    def positions_of(self, label_id: int) -> np.ndarray:
+        """Ascending flat positions of the events carrying the label."""
         if self._positions is None:
-            counts = np.bincount(self.tokens, minlength=len(self.alphabet))
             self._positions = (np.argsort(self.tokens, kind="stable"),
-                               np.concatenate(([0], np.cumsum(counts))))
+                               np.concatenate(([0], np.cumsum(self.label_counts()))))
         positions, label_offsets = self._positions
-        parts = [positions[label_offsets[lid]:label_offsets[lid + 1]] for lid in label_ids]
-        return np.sort(np.concatenate([positions[:0], *parts]))
+        return positions[label_offsets[label_id]:label_offsets[label_id + 1]]
 
 
 def load_sequences(path: str) -> Dataset:

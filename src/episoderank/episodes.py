@@ -322,8 +322,9 @@ def save_episodes(items: Iterable[tuple[str, Episode]], path: str) -> None:
 def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Episode]]:
     """Read a JSON-lines episode file; close, validate and canonicalize.
 
-    Non-strict episodes are rejected unless ``auto_strictify`` is set, in which
-    case unordered equal-label vertices are chained.
+    A record without labels is rejected. Non-strict episodes are rejected
+    unless ``auto_strictify`` is set, in which case unordered equal-label
+    vertices are chained.
     """
     out: list[tuple[str, Episode]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -337,6 +338,8 @@ def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Ep
                 episode = make_episode(obj["labels"], [(u, v) for u, v in obj["edges"]])
             except (KeyError, TypeError, ValueError) as exc:  # EpisodeError is a ValueError
                 raise EpisodeError(f"{path}:{lineno}: malformed episode record: {exc}") from None
+            if not episode.n:  # every sequence would cover it, whatever the model
+                raise EpisodeError(f"{path}:{lineno}: episode {eid!r} has no labels")
             if not is_strict(episode):
                 if not auto_strictify:
                     raise StrictnessError(

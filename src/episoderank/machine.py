@@ -6,7 +6,8 @@ vertex's label. For strict episodes the outgoing labels of every state are
 distinct, which makes the greedy walk (follow a matching edge if one exists,
 otherwise stay) deterministic, and a sequence matches the episode exactly when
 the walk over the whole sequence ends in the sink state. The walk itself is
-``model.collect_statistics``; ``support`` is re-exported from there.
+``model.walk``, over a disjoint union of machines; ``support`` is re-exported
+from there.
 """
 
 from __future__ import annotations
@@ -45,32 +46,30 @@ class Machine:
         self.episode = episode
         self.states = states  # vertex bitmasks, ordered by (size, mask)
         self.edges = edges
-        self.state_index = {mask: i for i, mask in enumerate(states)}
         self.source = 0
         self.sink = len(states) - 1
         self.edge_src = np.array([e.src for e in edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in edges], dtype=np.intp)
-        # the reach recursion's terms: every state's self-loop first, then the edges
-        loops = np.arange(len(states))
-        self.step_src = np.concatenate((loops, self.edge_src))
-        self.step_dst = np.concatenate((loops, self.edge_dst))
-        self._arrays: MachineArrays | None = None
+        self._edge_classes: tuple[object, np.ndarray] | None = None
         self._boost_masks: tuple[object, object, np.ndarray] | None = None
 
     @property
     def num_states(self) -> int:
         return len(self.states)
 
-    def arrays(self, collapsed) -> MachineArrays:
-        """The machine's arrays under a collapsed alphabet.
+    def edge_classes(self, collapsed) -> np.ndarray:
+        """Read-only model class of every edge label under a collapsed alphabet.
 
         Kept for the last alphabet asked: one episode is ranked under one
         collapsed alphabet, and its walk and every model fitted to it read
-        these arrays.
+        these classes.
         """
-        if self._arrays is None or self._arrays.collapsed is not collapsed:
-            self._arrays = MachineArrays.build(self, collapsed)
-        return self._arrays
+        cached = self._edge_classes
+        if cached is None or cached[0] is not collapsed:
+            edge_cls = np.array([collapsed.class_of(e.label) for e in self.edges], dtype=np.intp)
+            edge_cls.flags.writeable = False
+            self._edge_classes = cached = (collapsed, edge_cls)
+        return cached[1]
 
     def boost_masks(self, spec, collapsed) -> np.ndarray:
         """Read-only ``bool[2, S, K]``: True where state H has an outgoing edge
@@ -78,7 +77,7 @@ class Machine:
         alphabet asked, which a fit reads at every likelihood evaluation."""
         cached = self._boost_masks
         if cached is None or cached[0] is not spec or cached[1] is not collapsed:
-            edge_cls = self.arrays(collapsed).edge_cls
+            edge_cls = self.edge_classes(collapsed)
             masks = np.zeros((2, self.num_states, collapsed.size), dtype=bool)
             for layer, edge_set in enumerate((spec.c1, spec.c2)):
                 idx = list(edge_set)
@@ -86,33 +85,6 @@ class Machine:
             masks.flags.writeable = False
             self._boost_masks = cached = (spec, collapsed, masks)
         return cached[2]
-
-
-@dataclass(frozen=True, eq=False)
-class MachineArrays:
-    """A machine's edges and moves under one collapsed alphabet.
-
-    ``edge_cls`` is the model class of every edge label; ``table[H, k]`` is
-    the state the greedy walk moves to from ``H`` on an event of class ``k``
-    (``H`` itself unless an edge matches), and ``moves`` marks where it
-    differs from ``H``.
-    """
-
-    collapsed: object
-    edge_cls: np.ndarray
-    table: np.ndarray
-    moves: np.ndarray
-
-    @classmethod
-    def build(cls, machine: Machine, collapsed) -> MachineArrays:
-        S = machine.num_states
-        edge_cls = np.array([collapsed.class_of(e.label) for e in machine.edges], dtype=np.intp)
-        table = np.repeat(np.arange(S)[:, None], collapsed.size, axis=1)
-        table[machine.edge_src, edge_cls] = machine.edge_dst
-        moves = table != np.arange(S)[:, None]
-        for arr in (edge_cls, table, moves):
-            arr.flags.writeable = False
-        return cls(collapsed, edge_cls, table, moves)
 
 
 def build_machine(episode: Episode, vertex_cap: int = VERTEX_CAP,

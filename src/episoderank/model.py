@@ -4,21 +4,28 @@ The model generates each event conditioned on the machine state reached by the
 greedy walk over the preceding events: ``p(l | H) = exp(u_l + t_i [some
 outgoing edge of H labelled l lies in C_i]) / Z_H``. With both boosted edge
 sets empty this is the plain independence model, whose fit has a closed form:
-the machine state does not matter, so p(k | H) is the class frequency. With a
-boosted edge set the log-likelihood is still concave in ``(u, t1, t2)``, so a
-damped Newton iteration finds the global maximum.
+the machine state does not matter, so p(k | H) is the class frequency, which
+the corpus label counts give without a walk. With a boosted edge set the
+log-likelihood is still concave in ``(u, t1, t2)``, so a damped Newton
+iteration finds the global maximum.
 
 Labels that do not occur in the host episode cannot move the machine, so they
 are collapsed into one catch-all class; this shrinks the parameter dimension
 from |alphabet|+2 to at most |episode|+3 without changing any fitted
 probability the rank depends on.
+
+The walk, the transition rates and the reach recursion run on a
+:class:`MachineUnion`, a disjoint union of machines with every member's states
+at an offset, so that one call serves a whole batch of episodes; a single
+machine is the union of one. Each member's numbers are exactly what it gets
+alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -54,14 +61,6 @@ class CollapsedAlphabet:
 
     def class_of(self, symbol: str) -> int:
         return self._by_symbol.get(symbol, self.star)
-
-    def class_of_ids(self, alphabet: Alphabet) -> np.ndarray:
-        out = np.full(len(alphabet), self.star, dtype=np.int64)
-        for sym, cls in self._by_symbol.items():
-            sid = alphabet.id_of(sym)
-            if sid is not None:
-                out[sid] = cls
-        return out
 
 
 def collapse_alphabet(alphabet: Alphabet, episode) -> CollapsedAlphabet:
@@ -104,50 +103,139 @@ class StateStats:
     c: np.ndarray
     n: np.ndarray
 
-    def total_events(self) -> float:
-        return float(self.c.sum())
 
+class MachineUnion:
+    """Disjoint union of machines: the batch axis of the walk, the rates and
+    the reach recursion.
 
-def _walk(machine: Machine, dataset: Dataset, collapsed: CollapsedAlphabet):
-    """Greedy walk of every sequence that holds an episode label.
-
-    Only events whose label occurs in the episode can move the machine, so the
-    walk reads just their occurrences, gathered by ``Dataset.positions_of``. It
-    moves all touched sequences in lockstep, one machine move per round: each
-    jumps to its next event that leaves its state, ``state = table[state,
-    class]``. A walk moves at most once per episode vertex, so the number of
-    rounds does not grow with sequence length.
-
-    Returns the flat positions of those events, their classes, the touched
-    sequence each belongs to, the state each is read in, and the final state of
-    every touched sequence.
+    Member ``i``'s state ``H`` is the global state ``offsets[i] + H``, and its
+    edges follow those of the members before it, in its own order; every
+    per-state or per-edge array of the union is its members' arrays joined in
+    member order. ``source`` and ``sink`` hold each member's global source and
+    sink (a machine's source is its first state and its sink its last), and
+    ``edge_member`` the member of every edge.
     """
-    arrays = machine.arrays(collapsed)
-    table, moves = arrays.table, arrays.moves
-    pos = dataset.positions_of({dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
-                               - {None})
-    cls = collapsed.class_of_ids(dataset.alphabet)[dataset.tokens[pos]]
-    seq = dataset.sequence_ids[pos]
-    group = np.cumsum(_run_starts(seq)) - 1  # touched-sequence number of each event
-    touched = int(group[-1]) + 1 if len(group) else 0
 
-    state = np.full(touched, machine.source)
+    def __init__(self, members: Sequence[Machine]):
+        self.members = list(members)
+        sizes = np.array([m.num_states for m in self.members], dtype=np.intp)
+        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        self.num_states = int(self.offsets[-1])
+        self.source = self.offsets[:-1]
+        self.sink = self.offsets[1:] - 1
+        self.edge_member = np.repeat(np.arange(len(self.members)),
+                                     [len(m.edges) for m in self.members])
+        shift = self.offsets[self.edge_member]
+        self.edge_src = _join(m.edge_src for m in self.members) + shift
+        self.edge_dst = _join(m.edge_dst for m in self.members) + shift
+
+    def edge_classes(self, collapsed: Sequence[CollapsedAlphabet]) -> np.ndarray:
+        """Every edge's class under its member's collapsed alphabet."""
+        return _join(m.edge_classes(c) for m, c in zip(self.members, collapsed))
+
+
+def _join(arrays) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+
+
+def walk(union: MachineUnion, dataset: Dataset, collapsed: Sequence[CollapsedAlphabet],
+         stats_for: Sequence[bool] | None = None) -> tuple[list[int], list[StateStats | None]]:
+    """Greedy walk of every member over every sequence that holds one of its labels.
+
+    Only events whose label occurs in an episode can move its machine, so the
+    walk reads just their occurrences, gathered by ``Dataset.positions_of``. A
+    touched unit is a (member, sequence) pair; the events are laid out member
+    by member, each member's in corpus order. All units move in lockstep, one
+    machine move per round: each jumps to its next event that leaves its
+    state, ``state = table[state, class]``, where ``table`` stacks the
+    members' transitions at their state offsets and pads every row with
+    "stay" up to the largest class count. A walk moves at most once per
+    episode vertex, so the number of rounds does not grow with sequence
+    length.
+
+    Returns every member's support and, for the members flagged in
+    ``stats_for``, its sufficient statistics (None for the others). The events
+    the walk skips are credited in bulk to the catch-all class of the state
+    the walk sits in; sequences without any of a member's labels stay at its
+    source.
+    """
+    B = len(union.members)
+    parts, part_member, part_cls = [], [], []  # one per (member, corpus label)
+    for i, (machine, col) in enumerate(zip(union.members, collapsed)):
+        for lab in set(machine.episode.labels):
+            lid = dataset.alphabet.id_of(lab)
+            if lid is not None:
+                parts.append(dataset.positions_of(lid))
+                part_member.append(i)
+                part_cls.append(col.class_of(lab))
+    sizes = [len(part) for part in parts]
+    member = np.repeat(np.array(part_member, dtype=np.intp), sizes)
+    pos = _join(parts)
+    # member, then position: the keys are a run per label, so a stable sort is a merge
+    order = np.argsort(member * dataset.total_events + pos, kind="stable")
+    member, pos = member[order], pos[order]
+    cls = np.repeat(np.array(part_cls, dtype=np.intp), sizes)[order]
+    seq = dataset.sequence_ids[pos]
+    starts = _run_starts(seq) | _run_starts(member)
+    group = np.cumsum(starts) - 1  # touched unit of each event
+    unit_member = member[starts]
+    touched = len(unit_member)
+
+    need = np.zeros(B, dtype=bool) if stats_for is None else np.asarray(stats_for, dtype=bool)
+    track = need.any()  # whether to record the state each event is read in
+    K = max((c.size for c in collapsed), default=1)
+    stay = np.arange(union.num_states)
+    table = np.repeat(stay[:, None], K, axis=1)
+    table[union.edge_src, union.edge_classes(collapsed)] = union.edge_dst
+    moves = table != stay[:, None]
+    state = union.source[unit_member]
     before = np.empty(len(pos), dtype=np.intp)  # state each event is read in
     unread = np.arange(len(pos))
     while len(unread):
         g = group[unread]
         at = state[g]
         hit = unread[moves[at, cls[unread]]]
-        # hits ascend, so a sequence's next move is the first hit of its run
+        # hits ascend, so a unit's next move is the first hit of its run
         hit = hit[_run_starts(group[hit])]
         mover = group[hit]
-        cut = np.full(touched, len(pos))  # next move of each sequence, if any
+        cut = np.full(touched, len(pos))  # next move of each unit, if any
         cut[mover] = hit
         read = unread <= cut[g]
-        before[unread[read]] = at[read]
+        if track:
+            before[unread[read]] = at[read]
         state[mover] = table[state[mover], cls[hit]]
         unread = unread[~read]
-    return pos, cls, seq, group, before, state
+
+    supports = np.bincount(unit_member[state == union.sink[unit_member]], minlength=B)
+    supports[union.source == union.sink] = dataset.num_sequences  # the empty episode
+    stats: list[StateStats | None] = [None] * B
+    if track:
+        runs = np.bincount(group, minlength=touched)
+        last = np.cumsum(runs) - 1  # last event of each unit
+        heads = last - runs + 1
+        gap = np.empty_like(pos)  # events read since the previous episode event
+        gap[1:] = pos[1:] - pos[:-1] - 1
+        gap[heads] = pos[heads] - dataset.offsets[seq[heads]]
+        ends = dataset.offsets[seq[heads] + 1]  # end of each unit's sequence
+        tail = ends - pos[last] - 1
+        star = np.array([c.star for c in collapsed], dtype=np.intp)
+        ev, un = need[member], need[unit_member]
+        row, unit_row = before[ev] * K, state[un] * K
+        # one bincount: each event in its class, the gaps before it and the
+        # tail after a unit's last event in the catch-all class
+        n = np.bincount(np.concatenate((row + cls[ev], row + star[member[ev]],
+                                        unit_row + star[unit_member[un]])),
+                        weights=np.concatenate((np.ones(len(row)), gap[ev], tail[un])),
+                        minlength=union.num_states * K).reshape(-1, K)
+        touched_events = np.bincount(unit_member, weights=ends - dataset.offsets[seq[heads]],
+                                     minlength=B)
+        for i in np.flatnonzero(need).tolist():
+            col, (lo, hi) = collapsed[i], union.offsets[i:i + 2]
+            n_i = n[lo:hi, :col.size].copy()
+            # sequences without the member's labels sit at its source throughout
+            n_i[0, col.star] += dataset.total_events - touched_events[i]
+            stats[i] = StateStats(col, n_i.sum(axis=1), n_i)
+    return supports.tolist(), stats
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -162,41 +250,18 @@ def collect_statistics(machine: Machine, dataset: Dataset,
                        collapsed: CollapsedAlphabet | None = None) -> tuple[StateStats, int]:
     """One greedy walk of every sequence: sufficient statistics plus the support.
 
-    The events the walk skips are credited in bulk to the catch-all class of
-    the state the walk sits in; sequences without any episode label stay at
-    the source.
+    The walk of a union of one; see :func:`walk`.
     """
     if collapsed is None:
         collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
-    S, K, star = machine.num_states, collapsed.size, collapsed.star
-    offsets = dataset.offsets
-    pos, cls, seq, group, before, state = _walk(machine, dataset, collapsed)
-    runs = np.bincount(group)
-    last = np.cumsum(runs) - 1  # last event of each touched sequence
-    heads = last - runs + 1
-    gap = np.empty_like(pos)  # events read since the previous episode event
-    gap[1:] = pos[1:] - pos[:-1] - 1
-    gap[heads] = pos[heads] - offsets[seq[heads]]
-    tail = offsets[seq[last] + 1] - pos[last] - 1
-
-    cells = S * K
-    n = (np.bincount(before * K + cls, minlength=cells)
-         + np.bincount(before * K + star, weights=gap, minlength=cells)
-         + np.bincount(state * K + star, weights=tail, minlength=cells)).reshape(S, K)
-    n[machine.source, star] += dataset.total_events - len(pos) - gap.sum() - tail.sum()
-    return StateStats(collapsed, n.sum(axis=1), n), _covered(machine, dataset, state)
-
-
-def _covered(machine: Machine, dataset: Dataset, state: np.ndarray) -> int:
-    if machine.source == machine.sink:
-        return dataset.num_sequences
-    return int(np.count_nonzero(state == machine.sink))
+    supports, stats = walk(MachineUnion([machine]), dataset, [collapsed], [True])
+    return stats[0], supports[0]
 
 
 def support(machine: Machine, dataset: Dataset) -> int:
     """Number of dataset sequences whose greedy walk reaches the sink."""
     collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
-    return _covered(machine, dataset, _walk(machine, dataset, collapsed)[-1])
+    return walk(MachineUnion([machine]), dataset, [collapsed])[0][0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,16 +356,62 @@ def gradient_hessian(stats: StateStats, params: ModelParams, machine: Machine,
 
 # --- fitting --------------------------------------------------------------------
 
-def _pick_pinned(collapsed: CollapsedAlphabet, totals: np.ndarray) -> int:
-    """Pin the catch-all class unless it never occurs, then the first label
-    class with events (the model is shift-invariant in u, so any observed
-    class works as the gauge)."""
-    if totals[collapsed.star] > 0:
-        return collapsed.star
-    for k in range(collapsed.size):
-        if totals[k] > 0:
-            return k
-    raise NumericalFitError("cannot fit a model to zero events")
+def _class_weights(collapsed: Sequence[CollapsedAlphabet], totals: np.ndarray, t_cap: float,
+                   closed_form: bool) -> list[tuple[np.ndarray, int]]:
+    """Per-class weights and the pinned class of every member of a batch.
+
+    ``totals`` holds each member's class totals, joined in member order. The
+    pinned class is the catch-all class unless it never occurs, then the
+    first label class with events (the model is shift-invariant in u, so any
+    observed class works as the gauge). Without boosts the free classes solve
+    n_k = N p_k, which gives u_k = log(n_k / n_pinned) + log1p(z e^-t_cap)
+    with z classes at the floor; Newton starts boosted fits from the same
+    point without the correction. The arithmetic is elementwise, so a member
+    gets the same weights in any batch.
+    """
+    sizes = np.array([c.size for c in collapsed], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    member = np.repeat(np.arange(len(sizes)), sizes)
+    if np.any(np.bincount(member, weights=totals, minlength=len(sizes)) <= 0):
+        raise NumericalFitError("cannot fit a model to zero events")
+    nz = totals > 0
+    observed = np.flatnonzero(nz)
+    star = starts + np.array([c.star for c in collapsed], dtype=np.intp)
+    pinned = np.where(nz[star], star, observed[np.searchsorted(observed, starts)])
+    floor = [math.log1p(z * math.exp(-t_cap)) if closed_form else 0.0
+             for z in np.bincount(member[~nz], minlength=len(sizes)).tolist()]
+    owner = member[nz]
+    u = np.full(len(totals), -t_cap)
+    u[nz] = np.log(totals[nz]) - np.log(totals[pinned])[owner] + np.array(floor)[owner]
+    # the clip binds only when one class outnumbers another e^t_cap (about
+    # 7e10) times, so the closed form is the box-constrained maximum below that
+    np.clip(u, -t_cap, t_cap, out=u)
+    u[pinned] = 0.0
+    return [(u[lo:lo + k].copy(), p - lo)
+            for lo, k, p in zip(starts.tolist(), sizes.tolist(), pinned.tolist())]
+
+
+def fit_independence(dataset: Dataset, collapsed: Sequence[CollapsedAlphabet],
+                     t_cap: float = T_CAP) -> list[ModelParams]:
+    """Closed-form independence fits of a batch, from the corpus label counts.
+
+    Under an episode's own collapsed alphabet (:func:`collapse_alphabet`) the
+    walk counts every event once, in its label's class if the episode holds
+    the label and in the catch-all class otherwise. So the class totals of
+    its statistics are the label counts, the catch-all class taking the
+    events left over, and this fit needs no walk. The totals are exact
+    integers, so the weights are those :func:`fit` gets from the walk's
+    statistics, bit for bit.
+    """
+    counts, id_of = dataset.label_counts(), dataset.alphabet.id_of
+    totals = []
+    for col in collapsed:  # its label classes, then the catch-all class
+        labels = [0 if id_of(lab) is None else int(counts[id_of(lab)])
+                  for lab in col.classes[:col.star]]
+        totals += labels + [dataset.total_events - sum(labels)]
+    return [ModelParams(col, u, 0.0, 0.0, pinned) for col, (u, pinned)
+            in zip(collapsed, _class_weights(collapsed, np.array(totals, dtype=float), t_cap,
+                                             closed_form=True))]
 
 
 def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
@@ -318,21 +429,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     collapsed = stats.collapsed
     K = collapsed.size
     totals = stats.n.sum(axis=0)
-    if totals.sum() <= 0:
-        raise NumericalFitError("cannot fit a model to zero events")
-    pinned = _pick_pinned(collapsed, totals)
-
-    u = np.full(K, -t_cap)
-    nz = totals > 0
-    # Without boosts the free classes solve n_k = N p_k, which gives
-    # u_k = log(n_k / n_pinned) + log1p(z e^-t_cap) with z classes at the floor;
-    # Newton starts boosted fits from the same point without the correction.
-    floor_mass = (K - np.count_nonzero(nz)) * math.exp(-t_cap) if spec.is_empty else 0.0
-    u[nz] = np.log(totals[nz]) - np.log(totals[pinned]) + math.log1p(floor_mass)
-    # the clip binds only when one class outnumbers another e^t_cap (about
-    # 7e10) times, so the closed form is the box-constrained maximum below that
-    np.clip(u, -t_cap, t_cap, out=u)
-    u[pinned] = 0.0
+    u, pinned = _class_weights([collapsed], totals, t_cap, closed_form=spec.is_empty)[0]
     if spec.is_empty:
         return ModelParams(collapsed, u, 0.0, 0.0, pinned)
     x = np.concatenate([u, [0.0, 0.0]])  # full layout: classes then t1, t2
@@ -344,7 +441,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     layout = _free_layout(params)
     # coordinates allowed to move: observed classes, boosts with edges
     movable = np.zeros(K + 2, dtype=bool)
-    movable[:K] = nz
+    movable[:K] = totals > 0
     movable[pinned] = False
     movable[K] = bool(spec.c1)
     movable[K + 1] = bool(spec.c2)
@@ -390,30 +487,56 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
 
 # --- reach probabilities ----------------------------------------------------------
 
-def transition_rates(machine: Machine, params: ModelParams,
-                     spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state stay probability and per-edge traversal probability."""
-    src, edge_cls = machine.edge_src, machine.arrays(params.collapsed).edge_cls
-    if spec.is_empty:  # one distribution serves every state
-        edge_p = np.exp(_log_normalize(params.u[None, :])[0, edge_cls])
-    else:
-        edge_p = np.exp(_model_log_conditionals(params, machine, spec)[src, edge_cls])
-    leave = np.bincount(src, weights=edge_p, minlength=machine.num_states)
+def transition_rates(machine: Machine | MachineUnion, params,
+                     spec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state stay probability and per-edge traversal probability.
+
+    Takes one machine with its fitted ``params`` and ``spec``, or a
+    :class:`MachineUnion` with a sequence of each, one per member. A member
+    whose spec boosts nothing has one distribution for every state, a row of
+    ``u``; such members with equal class counts share one
+    :func:`_log_normalize` call, which sums every row's terms in the same
+    order as for a row alone.
+    """
+    if not isinstance(machine, MachineUnion):
+        machine, params, spec = MachineUnion([machine]), [params], [spec]
+    union = machine
+    edge_cls = union.edge_classes([p.collapsed for p in params])
+    edge_p = np.empty(len(edge_cls))
+    plain: dict[int, list[int]] = {}  # class count -> members boosting nothing
+    for i, (m, p, s) in enumerate(zip(union.members, params, spec)):
+        if s.is_empty:
+            plain.setdefault(p.collapsed.size, []).append(i)
+        else:
+            on = union.edge_member == i
+            edge_p[on] = np.exp(_model_log_conditionals(p, m, s)[m.edge_src, edge_cls[on]])
+    row = np.zeros(len(union.members), dtype=np.intp)  # member's row in its class count's batch
+    for members in plain.values():
+        row[members] = np.arange(len(members))
+        on = np.isin(union.edge_member, members)
+        log_p = _log_normalize(np.stack([params[i].u for i in members]))
+        edge_p[on] = np.exp(log_p[row[union.edge_member[on]], edge_cls[on]])
+    leave = np.bincount(union.edge_src, weights=edge_p, minlength=union.num_states)
     return np.maximum(1.0 - leave, 0.0), edge_p
 
 
-def reach_table(machine: Machine, stay: np.ndarray, edge_p: np.ndarray,
+def reach_table(machine: Machine | MachineUnion, stay: np.ndarray, edge_p: np.ndarray,
                 max_length: int) -> np.ndarray:
     """Distribution over states of the greedy walk after 0..max_length events.
 
     Row ``k`` solves ``p(H, k) = stay_H p(H, k-1) + sum over incoming edges of
-    p(edge) p(src, k-1)`` from the point mass on the source. A step is one
-    ``bincount`` over the self-loops and then the edges, which adds each
-    state's terms in that order: the stay term first, then the incoming edges
-    in edge order.
+    p(edge) p(src, k-1)`` from the point mass on the source (on every
+    member's source, for a union). A step is one ``bincount`` over all
+    self-loops and then all edges, which adds each state's terms in that
+    order: the stay term first, then the incoming edges in edge order. So a
+    member of a union gets the columns it gets alone, bit for bit.
     """
+    if not isinstance(machine, MachineUnion):
+        machine = MachineUnion([machine])
     S = machine.num_states
-    src, dst = machine.step_src, machine.step_dst
+    loops = np.arange(S)
+    src = np.concatenate((loops, machine.edge_src))
+    dst = np.concatenate((loops, machine.edge_dst))
     weight = np.concatenate((stay, edge_p))
     table = np.zeros((max_length + 1, S))
     table[0, machine.source] = 1.0

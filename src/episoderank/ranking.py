@@ -6,11 +6,17 @@ Poisson-binomial: a convolution of one binomial per length class. The rank of
 an episode under a model is the negative log survival probability of the
 observed support; large rank = the model considers the support abnormally high.
 
-:func:`rank` is the one path from a fitted model to a rank: one reach
-recursion up to the longest sequence, the sink column read at every length,
-then the tail. :func:`rank_episode` lists the family of models (independence,
-every proper prefix split, every same-vertex stricter candidate) and evaluates
-it in one loop; the combined rank is the lowest over that family.
+Episodes are ranked in batches (:func:`rank_many`; :func:`rank_episode` is the
+batch of one). A batch is a disjoint union of the episodes' machines: one walk
+gives every support and, for the episodes with a partition model to fit, the
+sufficient statistics; the independence models come in closed form from the
+corpus label counts. :func:`rank_models` is the one path from fitted models to
+ranks: one reach recursion over the union up to the longest sequence, the sink
+column read at every length, then each member's tail; :func:`rank` is its call
+for one model. Every episode also lists its partition models (every proper
+prefix split, every same-vertex stricter candidate), fitted one by one on its
+statistics; the combined rank is the lowest over that family. An episode's
+numbers do not depend on the batch it shares.
 """
 
 from __future__ import annotations
@@ -27,21 +33,28 @@ from .datagen import DataError, Dataset
 from .episodes import Episode, EpisodeError, prefix_graphs, vertex_set_label
 from .machine import Machine, block_prefix, block_super, build_machine
 from .miner import CandidateSet
-from .model import (
+from .model import (  # noqa: F401  (perfbench/tracer.py wraps ranking.collect_statistics)
     EMPTY_SPEC,
+    MachineUnion,
     ModelParams,
     NumericalFitError,
     PartitionSpec,
     collapse_alphabet,
     collect_statistics,
     fit,
+    fit_independence,
     reach_table,
     transition_rates,
+    walk,
 )
 
 POISSON_MU_MAX = 10.0  # below this the normal approximation is unreliable
 EXACT_LIMIT = 5_000  # most sequences the CLI lets --exact run on
 INDEPENDENCE = "independence"
+# array cells one batch of episodes fills at most (an episode needing more is
+# a batch alone): the corpus events its walk reads plus its reach table's
+# states x lengths. It bounds the batch's arrays and so the peak memory.
+BATCH_CELLS = 1 << 15
 
 
 # --- tail probabilities -----------------------------------------------------------
@@ -151,33 +164,48 @@ class RankResult:
     zscore: float | None = None
 
 
-def rank(machine: Machine, params: ModelParams, spec: PartitionSpec, dataset: Dataset,
-         observed: int, exact: bool = False, explainer: str = INDEPENDENCE) -> RankResult:
-    """Rank the observed support against the model's support distribution.
+def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[PartitionSpec],
+                dataset: Dataset, observed: list[int], exact: bool = False,
+                explainer: str = INDEPENDENCE) -> list[RankResult]:
+    """Rank each member's observed support against the member's fitted model.
 
     The cover probability of a sequence of length k is the sink entry of row
-    k of one reach recursion. Uses the Poisson approximation when the expected
-    support is small (at most 10), the corrected normal approximation
-    otherwise, or the exact Poisson-binomial law on request.
+    k of one reach recursion over the union. The expected support and its
+    variance are summed one length at a time in ``length_counts`` order, for
+    all members at once. Each member then uses the Poisson approximation when
+    its expected support is small (at most 10), the corrected normal
+    approximation otherwise, or the exact Poisson-binomial law on request.
     """
     counts = dataset.length_counts()  # keyed in order of first appearance
-    stay, edge_p = transition_rates(machine, params, spec)
-    sink = reach_table(machine, stay, edge_p, max(counts, default=0))[:, machine.sink]
-    p = {k: float(sink[k]) for k in counts}
-    mu = sum(c * p[k] for k, c in counts.items())
-    sigma2 = sum(c * p[k] * (1.0 - p[k]) for k, c in counts.items())
-    zscore = (observed - 0.5 - mu) / math.sqrt(sigma2) if sigma2 > 0 else None
-    if exact:
-        lengths = sorted(counts)
-        method, log_surv = "exact", tail_exact([p[k] for k in lengths], observed,
-                                               [counts[k] for k in lengths])
-    elif mu <= POISSON_MU_MAX:
-        method, log_surv = "poisson", tail_poisson(mu, observed)
-    else:
-        method, log_surv = "normal", tail_normal(mu, sigma2, observed)
-    if observed <= 0:
-        log_surv = 0.0  # P(X >= 0) = 1 identically
-    return RankResult(mu, sigma2, observed, max(0.0, -log_surv), method, explainer, zscore)
+    stay, edge_p = transition_rates(union, params, specs)
+    sink = reach_table(union, stay, edge_p, max(counts, default=0))[:, union.sink]
+    mu = sigma2 = np.zeros(len(union.members))
+    for k, c in counts.items():
+        p = sink[k]
+        mu = mu + c * p
+        sigma2 = sigma2 + c * p * (1.0 - p)
+    lengths = sorted(counts)
+    results = []
+    for i, (m, s2, n) in enumerate(zip(mu.tolist(), sigma2.tolist(), observed)):
+        zscore = (n - 0.5 - m) / math.sqrt(s2) if s2 > 0 else None
+        if exact:
+            method, log_surv = "exact", tail_exact(sink[lengths, i], n,
+                                                   [counts[k] for k in lengths])
+        elif m <= POISSON_MU_MAX:
+            method, log_surv = "poisson", tail_poisson(m, n)
+        else:
+            method, log_surv = "normal", tail_normal(m, s2, n)
+        if n <= 0:
+            log_surv = 0.0  # P(X >= 0) = 1 identically
+        results.append(RankResult(m, s2, n, max(0.0, -log_surv), method, explainer, zscore))
+    return results
+
+
+def rank(machine: Machine, params: ModelParams, spec: PartitionSpec, dataset: Dataset,
+         observed: int, exact: bool = False, explainer: str = INDEPENDENCE) -> RankResult:
+    """Rank the observed support against one fitted model (see :func:`rank_models`)."""
+    return rank_models(MachineUnion([machine]), [params], [spec], dataset, [observed],
+                       exact, explainer)[0]
 
 
 @dataclass
@@ -212,24 +240,21 @@ def _beats(cand: RankResult, best: RankResult | None) -> bool:
 def rank_episode(eid: str, episode: Episode, dataset: Dataset,
                  candidates: CandidateSet | None = None, exact: bool = False,
                  keep_evaluations: bool = False) -> EpisodeRanking:
-    """Full pipeline for one episode: statistics, every partition model, both ranks.
+    """Full pipeline for one episode: the batch of one of :func:`rank_many`.
 
-    Statistics are collected once and reused by every model. The partition
-    models are every proper prefix split in prefix-graph order, then every
-    stricter candidate in input order; a model that boosts no edge is the
-    independence model and reuses its rank instead of refitting.
+    Raises the episode's EpisodeError or NumericalFitError.
     """
-    machine = build_machine(episode)
-    collapsed = collapse_alphabet(dataset.alphabet, episode)
-    stats, observed = collect_statistics(machine, dataset, collapsed)
+    result = _rank_batch([(eid, episode)], dataset, candidates, exact, keep_evaluations)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
-    if stats.total_events() == 0:
-        zero = RankResult(0.0, 0.0, observed, 0.0, "poisson", INDEPENDENCE)
-        return EpisodeRanking(eid, episode, observed, zero, zero)
 
-    params0 = fit(machine, EMPTY_SPEC, stats)
-    ind = rank(machine, params0, EMPTY_SPEC, dataset, observed, exact=exact)
-
+def _partition_models(machine: Machine,
+                      candidates: CandidateSet | None) -> list[tuple[str, PartitionSpec]]:
+    """Every proper prefix split in prefix-graph order, then every stricter
+    candidate in input order."""
+    episode = machine.episode
     full = (1 << episode.n) - 1
     models = [(f"prefix:{vertex_set_label(episode, w)}",
                PartitionSpec(block_prefix(machine, w), block_prefix(machine, full ^ w)))
@@ -238,23 +263,68 @@ def rank_episode(eid: str, episode: Episode, dataset: Dataset,
         models += [(f"super:{sup.eid}",
                     PartitionSpec(block_super(machine, sup.episode), frozenset()))
                    for sup in candidates.superepisodes_of(episode)]
+    return models
 
-    evaluations = [SpecEvaluation(INDEPENDENCE, EMPTY_SPEC, params0, ind)]
-    best: RankResult | None = None
-    for explainer, spec in models:
-        if spec.is_empty:
-            params, cand = params0, ind
-        else:
-            params = fit(machine, spec, stats)
-            cand = rank(machine, params, spec, dataset, observed, exact=exact,
-                        explainer=explainer)
-        if keep_evaluations:
-            evaluations.append(SpecEvaluation(explainer, spec, params, cand))
-        if _beats(cand, best):
-            best = cand
 
-    return EpisodeRanking(eid, episode, observed, ind, best or ind,
-                          evaluations if keep_evaluations else [])
+def _rank_batch(episodes: list[tuple[str, Episode]], dataset: Dataset,
+                candidates: CandidateSet | None, exact: bool,
+                keep_evaluations: bool = False) -> list[EpisodeRanking | Exception]:
+    """Rank a batch of episodes; a failing episode's exception takes its place.
+
+    One walk over the union of the episodes' machines gives every support,
+    and the statistics of the episodes with a partition model that boosts an
+    edge. The independence models come from the label counts and are ranked
+    together. Each boosted model is fitted on its episode's statistics and
+    ranked alone (through the module's :func:`rank`); a model that boosts no
+    edge is the independence model and reuses its rank instead of refitting.
+    """
+    out: list = [None] * len(episodes)
+    ranked, machines, models = [], [], []
+    for i, (_, episode) in enumerate(episodes):
+        try:
+            machine = build_machine(episode)
+        except EpisodeError as exc:
+            out[i] = exc
+            continue
+        ranked.append(i)
+        machines.append(machine)
+        models.append(_partition_models(machine, candidates))
+    union = MachineUnion(machines)
+    collapsed = [collapse_alphabet(dataset.alphabet, m.episode) for m in machines]
+    supports, stats = walk(union, dataset, collapsed,
+                           [any(not spec.is_empty for _, spec in ms) for ms in models])
+
+    if dataset.total_events == 0:
+        for i, observed in zip(ranked, supports):
+            zero = RankResult(0.0, 0.0, observed, 0.0, "exact" if exact else "poisson",
+                              INDEPENDENCE)
+            out[i] = EpisodeRanking(*episodes[i], observed, zero, zero)
+        return out
+
+    params0 = fit_independence(dataset, collapsed)
+    inds = rank_models(union, params0, [EMPTY_SPEC] * len(machines), dataset, supports, exact)
+    for j, i in enumerate(ranked):
+        machine, observed, ind = machines[j], supports[j], inds[j]
+        evaluations = [SpecEvaluation(INDEPENDENCE, EMPTY_SPEC, params0[j], ind)]
+        best: RankResult | None = None
+        try:
+            for explainer, spec in models[j]:
+                if spec.is_empty:
+                    params, cand = params0[j], ind
+                else:
+                    params = fit(machine, spec, stats[j])
+                    cand = rank(machine, params, spec, dataset, observed, exact=exact,
+                                explainer=explainer)
+                if keep_evaluations:
+                    evaluations.append(SpecEvaluation(explainer, spec, params, cand))
+                if _beats(cand, best):
+                    best = cand
+        except NumericalFitError as exc:
+            out[i] = exc
+            continue
+        out[i] = EpisodeRanking(*episodes[i], observed, ind, best or ind,
+                                evaluations if keep_evaluations else [])
+    return out
 
 
 def rho_eta(r_ind: float, r_part: float) -> tuple[float, float]:
@@ -296,39 +366,68 @@ def _init_worker(dataset: Dataset, candidates: CandidateSet | None, exact: bool)
     _WORKER.update(dataset=dataset, candidates=candidates, exact=exact)
 
 
-def _rank_safe(eid, episode, dataset, candidates, exact):
-    try:
-        return rank_episode(eid, episode, dataset, candidates, exact=exact)
-    except (EpisodeError, NumericalFitError) as exc:
-        return (eid, str(exc))
+def _rank_reported(batch, dataset, candidates, exact) -> list:
+    """:func:`_rank_batch` with every failure as its (id, message) pair."""
+    return [(eid, str(value)) if isinstance(value, Exception) else value
+            for (eid, _), value in zip(batch, _rank_batch(batch, dataset, candidates, exact))]
 
 
-def _rank_one(item: tuple[str, Episode]):
-    return _rank_safe(*item, **_WORKER)
+def _rank_worker(batch: list[tuple[str, Episode]]) -> list:
+    return _rank_reported(batch, **_WORKER)
+
+
+def _batches(episodes: list[tuple[str, Episode]], dataset: Dataset,
+             threads: int) -> list[list[tuple[str, Episode]]]:
+    """Consecutive episodes that fill at most BATCH_CELLS cells together; with
+    several threads, at most a quarter of each thread's share.
+
+    An episode fills one cell per corpus event of its labels and one per
+    reach-table entry, at most 2^n states (the vertex sets) times the lengths.
+    """
+    counts, id_of = dataset.label_counts(), dataset.alphabet.id_of
+    rows = max(dataset.length_counts(), default=0) + 1
+    cells = [sum(int(counts[lid]) for lid in {id_of(lab) for lab in ep.labels} - {None})
+             + (rows << ep.n) for _, ep in episodes]
+    bound = BATCH_CELLS
+    if threads > 1:
+        bound = min(bound, math.ceil(sum(cells) / (4 * threads)))
+    batches: list[list[tuple[str, Episode]]] = []
+    size = 0
+    for item, n in zip(episodes, cells):
+        if not batches or size + n > bound:
+            batches.append([])
+            size = 0
+        batches[-1].append(item)
+        size += n
+    return batches
 
 
 def rank_many(episodes: list[tuple[str, Episode]], dataset: Dataset,
               candidates: CandidateSet | None = None, exact: bool = False,
               threads: int = 1) -> tuple[list[EpisodeRanking], list[tuple[str, str]]]:
-    """Rank a batch of episodes, optionally across at most ``threads`` worker
-    processes.
+    """Rank episodes in bounded batches, optionally across at most ``threads``
+    worker processes, each batch a task.
 
-    Results come back in input order whatever the schedule; per-episode size
-    and fitting failures are collected instead of aborting the batch.
+    An episode's result does not depend on the batch it shares, so results
+    come back in input order and the same whatever the schedule; per-episode
+    size and fitting failures are collected instead of aborting the batch.
     """
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platform without fork: run in-process
         ctx = None
-    workers = min(threads, len(episodes))
-    if workers <= 1 or len(episodes) < 4 or ctx is None:
-        raw = [_rank_safe(eid, ep, dataset, candidates, exact) for eid, ep in episodes]
+    if len(episodes) < 4 or ctx is None:
+        threads = 1
+    batches = _batches(episodes, dataset, threads)
+    workers = min(threads, len(batches))
+    if workers <= 1:
+        raw = [_rank_reported(batch, dataset, candidates, exact) for batch in batches]
     else:
-        chunksize = math.ceil(len(episodes) / (4 * threads))
         with ctx.Pool(workers, _init_worker, (dataset, candidates, exact)) as pool:
-            raw = pool.map(_rank_one, episodes, chunksize=chunksize)
-    rows = [value for value in raw if isinstance(value, EpisodeRanking)]
-    errors = [value for value in raw if not isinstance(value, EpisodeRanking)]
+            raw = pool.map(_rank_worker, batches, chunksize=1)
+    values = [value for part in raw for value in part]
+    rows = [value for value in values if isinstance(value, EpisodeRanking)]
+    errors = [value for value in values if not isinstance(value, EpisodeRanking)]
     return rows, errors
 
 

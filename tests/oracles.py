@@ -114,13 +114,14 @@ def block_super_by_machine(machine: Machine, stricter: Episode) -> frozenset[int
     if not is_proper_superepisode_same_vertices(machine.episode, stricter):
         raise ValueError("second episode must be a proper same-vertex superepisode")
     other = build_machine(stricter)
+    state_of = {mask: i for i, mask in enumerate(machine.states)}
     edge_by_src_vertex = {(e.src, e.vertex): idx for idx, e in enumerate(machine.edges)}
     picked = []
     for e in other.edges:
         src_mask = other.states[e.src]
         if src_mask == 0:
             continue
-        picked.append(edge_by_src_vertex[(machine.state_index[src_mask], e.vertex)])
+        picked.append(edge_by_src_vertex[(state_of[src_mask], e.vertex)])
     return frozenset(picked)
 
 
@@ -173,7 +174,7 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
         if lid is not None:
             table[e.src][lid] = e.dst
     label_ids = {dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
-    class_of = collapsed.class_of_ids(dataset.alphabet)
+    class_of = [collapsed.class_of(sym) for sym in dataset.alphabet.symbols]
 
     c_acc = [0] * S
     n_acc = [[0] * K for _ in range(S)]

@@ -267,7 +267,7 @@ def test_criterion_7_independence_reduction(desk_plant):
     for ep in episodes:
         m = build_machine(ep)
         stats, observed = collect_statistics(m, desk_plant)
-        if stats.total_events() == 0:
+        if stats.c.sum() == 0:
             continue
         params_ind = fit(m, EMPTY_SPEC, stats)
         r_ind = rank(m, params_ind, EMPTY_SPEC, desk_plant, observed)

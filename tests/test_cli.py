@@ -105,6 +105,19 @@ class TestRankCommand:
                 assert row["rank_part"] == pytest.approx(
                     base["rank_part"] / math.log(10), rel=1e-9)
 
+    def test_zero_event_corpus_names_the_tail_asked_for(self, workspace, tmp_path):
+        from episoderank.ranking import parse_report
+
+        root, _, eps = workspace
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n\n")
+        for flags, method in (([], "poisson"), (["--exact"], "exact")):
+            out = tmp_path / "zero.tsv"
+            assert main(_rank_args(blank, eps, out) + flags) == 0
+            rows = parse_report(out.read_text())
+            assert len(rows) == 4 and {row["method"] for row in rows} == {method}
+            assert {row["rank_ind"] for row in rows} == {0.0}
+
     def test_mined_candidates(self, workspace, tmp_path):
         root, corpus, _ = workspace
         out = tmp_path / "mined.tsv"
@@ -414,6 +427,18 @@ class TestExitCodes:
         bad.write_text(record + "\n")
         assert main(_rank_args(corpus, bad, tmp_path / "out.tsv")) == 2
         assert f"{bad}:1: malformed episode record" in capsys.readouterr().err
+
+    def test_episode_without_labels_is_data_error(self, workspace, tmp_path, capsys):
+        # every sequence covers it, so no model could rank it
+        root, corpus, _ = workspace
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"id": "ab", "labels": ["a", "b"], "edges": [[0, 1]]}\n'
+                       '{"id": "empty", "labels": [], "edges": []}\n')
+        out = tmp_path / "out.tsv"
+        assert main(_rank_args(corpus, bad, out)) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: episode 'empty' has no labels" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_compare_rejects_a_file_without_report_columns(self, workspace, tmp_path, capsys):
         root, corpus, eps = workspace

@@ -181,6 +181,7 @@ class TestBlockPrefix:
             return
         m = build_machine(ep)
         masks = set(prefix_graphs(ep))
+        state_of = {mask: i for i, mask in enumerate(m.states)}
         full = (1 << ep.n) - 1
         for w1 in range(1, full):
             w2 = full ^ w1
@@ -191,7 +192,7 @@ class TestBlockPrefix:
                     inter = x & w
                     if inter == 0 or inter == w:
                         continue
-                    if not any(i in blocked[w] for i in out_edges(m)[m.state_index[x]]):
+                    if not any(i in blocked[w] for i in out_edges(m)[state_of[x]]):
                         stuck[w] = True
             if w1 not in masks and w2 not in masks:
                 assert stuck[w1] or stuck[w2], (ep, bin(w1))

@@ -24,12 +24,15 @@ from episoderank.model import (
     PartitionSpec,
     StateStats,
     collapse_alphabet,
+    MachineUnion,
     collect_statistics,
     fit,
+    fit_independence,
     gradient_hessian,
     log_likelihood,
     reach_table,
     transition_rates,
+    walk,
 )
 
 from conftest import random_strict_episode
@@ -82,7 +85,7 @@ class TestCollapse:
         alpha = Alphabet("ab")
         col = collapse_alphabet(alpha, serial("ab"))
         assert col.classes == ("a", "b", "*")
-        assert col.class_of_ids(alpha).tolist() == [0, 1]
+        assert [col.class_of(s) for s in alpha.symbols] == [0, 1]
 
     def test_parameter_dimension_bound(self):
         ep = diamond()
@@ -102,7 +105,7 @@ class TestStatistics:
     def test_empty_dataset_zero(self):
         ds = dataset_from_strings([])
         stats = collect_statistics(build_machine(serial("ab")), ds)[0]
-        assert stats.total_events() == 0
+        assert stats.c.sum() == 0
 
     def test_event_conservation(self):
         rng = np.random.default_rng(2)
@@ -168,6 +171,82 @@ class TestLockstepWalker:
             want, want_covered = sequential_statistics(m, ds)
             assert np.array_equal(stats.n, want.n) and np.array_equal(stats.c, want.c)
             assert covered == want_covered
+
+
+class TestUnionWalk:
+    """One walk over a disjoint union of machines, member by member against
+    the per-event walk."""
+
+    @staticmethod
+    def members(rng):
+        # the empty episode, repeated labels, "d" absent from every corpus,
+        # serial, parallel and DAG shapes
+        fixed = [parallel(""), serial("a"), serial("aa"), serial("aba"), serial("ad"),
+                 parallel("ab"), parallel("abc"), diamond(), serial("d")]
+        mixed = fixed + [random_strict_episode(rng, "abcd", 4) for _ in range(12)]
+        order = rng.permutation(len(mixed))
+        return [mixed[i] for i in order]
+
+    def test_members_match_the_sequential_oracle(self):
+        rng = np.random.default_rng(64)
+        for ds in TestLockstepWalker.datasets(rng):
+            episodes = self.members(rng)
+            machines = [build_machine(ep) for ep in episodes]
+            cols = [collapse_alphabet(ds.alphabet, ep) for ep in episodes]
+            wanted = rng.random(len(episodes)) < 0.5
+            supports, stats = walk(MachineUnion(machines), ds, cols, wanted)
+            for m, col, want_stats, got_support, got in zip(machines, cols, wanted,
+                                                            supports, stats):
+                oracle, oracle_support = sequential_statistics(m, ds, col)
+                assert got_support == oracle_support, (m.episode, symbol_rows(ds))
+                if want_stats:
+                    assert np.array_equal(got.n, oracle.n), (m.episode, symbol_rows(ds))
+                    assert np.array_equal(got.c, oracle.c)
+                else:
+                    assert got is None
+
+    def test_supports_without_statistics(self):
+        rng = np.random.default_rng(65)
+        ds = generate(default_config("plant", seed=4, num_sequences=300, counts=(30, 10, 6)))
+        episodes = plant_patterns() + self.members(rng)
+        machines = [build_machine(ep) for ep in episodes]
+        cols = [collapse_alphabet(ds.alphabet, ep) for ep in episodes]
+        supports, stats = walk(MachineUnion(machines), ds, cols)
+        assert stats == [None] * len(episodes)
+        assert supports == [sequential_statistics(m, ds)[1] for m in machines]
+
+    def test_empty_union(self):
+        ds = dataset_from_strings(["ab", "ba"])
+        assert walk(MachineUnion([]), ds, []) == ([], [])
+
+
+class TestIndependenceFromLabelCounts:
+    def test_bit_identical_to_the_fit_on_walk_statistics(self):
+        rng = np.random.default_rng(66)
+        corpora = [generate(default_config("plant", seed=2, num_sequences=200,
+                                           counts=(20, 6, 4))),
+                   dataset_from_strings(["ab", "ba", "aab", "bb", "ab", "abba"]),
+                   dataset_from_strings(["abc", "", "cc"])]
+        for ds in corpora:
+            labels = sorted(ds.alphabet.symbols)[:6] + ["absent"]
+            episodes = [random_strict_episode(rng, labels, 4) for _ in range(15)]
+            cols = [collapse_alphabet(ds.alphabet, ep) for ep in episodes]
+            batch = fit_independence(ds, cols)
+            for ep, col, got in zip(episodes, cols, batch):
+                m = build_machine(ep)
+                want = fit(m, EMPTY_SPEC, collect_statistics(m, ds, col)[0])
+                assert np.array_equal(got.u, want.u), ep
+                assert got.pinned == want.pinned and got.t1 == got.t2 == 0.0
+                alone = fit_independence(ds, [col])[0]
+                assert np.array_equal(alone.u, got.u) and alone.pinned == got.pinned
+
+    def test_empty_batch(self):
+        assert fit_independence(dataset_from_strings(["ab"]), []) == []
+
+    def test_zero_events_cannot_be_fitted(self):
+        ds = dataset_from_strings(["", ""])
+        with pytest.raises(NumericalFitError):
+            fit_independence(ds, [collapse_alphabet(ds.alphabet, serial("ab"))])
 
 
 class TestConditionalProb:
@@ -439,7 +518,7 @@ class TestIndependenceClosedForm:
             grad, _ = gradient_hessian(stats, params, m, EMPTY_SPEC)
             observed = np.delete(stats.n.sum(axis=0) > 0, params.pinned)
             # floored classes may only press against the floor
-            assert np.abs(grad[:-2][observed]).max() < 1e-9 * stats.total_events()
+            assert np.abs(grad[:-2][observed]).max() < 1e-9 * stats.c.sum()
             assert np.all(grad[:-2][~observed] <= 0.0)
 
     def test_runs_no_newton_iteration(self, monkeypatch):
@@ -484,7 +563,7 @@ class TestReachStep:
             params = random_params(rng, col, t_scale=3.0)
             log_p = model.log_conditionals(params.u, 0.0, 0.0,
                                            m.boost_masks(EMPTY_SPEC, col))
-            edge_p = np.exp(log_p[m.edge_src, m.arrays(col).edge_cls])
+            edge_p = np.exp(log_p[m.edge_src, m.edge_classes(col)])
             assert np.array_equal(transition_rates(m, params, EMPTY_SPEC)[1], edge_p)
 
 

@@ -438,6 +438,56 @@ class TestRankMany:
         assert asked == []
 
 
+class TestBatches:
+    @staticmethod
+    def _corpus_and_candidates():
+        from episoderank.datagen import default_config, generate
+        from episoderank.miner import mine_parallel, mine_serial
+
+        ds = generate(default_config("plant", seed=7, num_sequences=300, counts=(30, 8, 6)))
+        candidates = CandidateSet()
+        for mined in (mine_serial(ds, 10, 3), mine_parallel(ds, 10, 2)):
+            for cand in mined:
+                candidates.add(cand.eid, cand.episode, cand.support)
+        # labels absent from the corpus, a repeated label and a DAG beside the mined ones
+        extra = [("absent", serial(["zz", "a"])), ("twice", serial("aa")),
+                 ("diamond", make_episode(list("knml"), [(0, 1), (0, 2), (1, 3), (2, 3)]))]
+        for eid, ep in extra:
+            candidates.add(eid, ep)
+        return ds, candidates
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_batch_bound_of_one_gives_identical_reports(self, monkeypatch, exact):
+        from episoderank import ranking
+
+        ds, candidates = self._corpus_and_candidates()
+        episodes = [(c.eid, c.episode) for c in candidates]
+        assert any(ev.explainer.startswith("super:") for ev in rank_episode(
+            "ab", parallel("ab"), ds, candidates, keep_evaluations=True).evaluations)
+        reports = []
+        for bound in (ranking.BATCH_CELLS, 1, 1 << 30):
+            monkeypatch.setattr(ranking, "BATCH_CELLS", bound)  # 1: one episode a batch
+            rows, errors = rank_many(episodes, ds, candidates, exact=exact)
+            assert not errors
+            reports.append(render_report(rows))
+        assert reports[0] == reports[1] == reports[2]
+        alone = [rank_episode(eid, ep, ds, candidates, exact=exact) for eid, ep in episodes]
+        assert reports[0] == render_report(alone)
+
+    def test_bad_episodes_leave_the_rest_of_their_batch(self):
+        from episoderank.episodes import VERTEX_CAP
+
+        ds, candidates = self._corpus_and_candidates()
+        good = [(c.eid, c.episode) for c in candidates][:40]
+        bad = [("non-strict", parallel("aa")),
+               ("over-cap", parallel([f"n{i:03d}" for i in range(VERTEX_CAP + 1)]))]
+        mixed = good[:10] + bad[:1] + good[10:30] + bad[1:] + good[30:]
+        rows, errors = rank_many(mixed, ds, candidates)
+        assert [eid for eid, _ in errors] == ["non-strict", "over-cap"]
+        assert "strict" in errors[0][1] and "cap" in errors[1][1]
+        assert rows == rank_many(good, ds, candidates)[0]
+
+
 class TestTwoClusterCorpus:
     def test_planted_pair_of_chains(self):
         # two independent 3-chains planted into noise: each chain keeps a high
