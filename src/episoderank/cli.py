@@ -232,7 +232,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     mach = machine_mod.build_machine(target.episode)
     lines = [f"episode {target.eid}: {episodes.describe(target.episode)}",
              machine_mod.render_machine(mach)]
-    masks = episodes.prefix_graphs(target.episode)
+    masks = mach.states
     rendered = ", ".join(episodes.vertex_set_label(target.episode, m) for m in masks)
     lines.append(f"prefix graphs ({len(masks)}): {rendered}")
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .episodes import Episode, make_episode, serial
+from .episodes import Episode, linear_extension, make_episode, serial
 
 logger = logging.getLogger(__name__)
 
@@ -252,18 +252,12 @@ def default_config(kind: str, seed: int, num_sequences: int | None = None,
 
 
 def _linearization(episode: Episode, rng: np.random.Generator) -> list[int]:
-    """Topological order of the episode, choosing uniformly among ready vertices."""
-    preds = episode.predecessor_masks()
-    placed = 0
-    remaining = list(range(episode.n))
-    order = []
-    while remaining:
-        ready = [v for v in remaining if preds[v] & ~placed == 0]
-        v = ready[int(rng.integers(len(ready)))] if len(ready) > 1 else ready[0]
-        order.append(v)
-        placed |= 1 << v
-        remaining.remove(v)
-    return order
+    """Topological order of the episode, choosing uniformly among ready vertices;
+    a lone ready vertex draws nothing from the generator."""
+    def pick(ready: list[int]) -> int:
+        return ready[int(rng.integers(len(ready)))] if len(ready) > 1 else ready[0]
+
+    return linear_extension(episode.predecessor_masks(), pick)
 
 
 def generate(config: GeneratorConfig) -> Dataset:

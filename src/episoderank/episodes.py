@@ -5,13 +5,17 @@ the labels can be found in an order consistent with the edges. Episodes are
 stored transitively closed and in a canonical vertex order (sorted by label,
 equal labels by their chain order), which makes structural comparison a plain
 index-wise check.
+
+One order rule underlies closure, strictness repair, the prefix subgraphs and
+the machine: a vertex may come next once all its predecessors are placed
+(:func:`addable`); :func:`linear_extension` places vertices by it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 class EpisodeError(ValueError):
@@ -65,74 +69,52 @@ class Episode:
         return f"Episode({describe(self)})"
 
 
-def _find_cycle(n: int, adj: list[list[int]]) -> list[int]:
-    """Return some directed cycle as a vertex list (assumes one exists)."""
-    color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    stack: list[int] = []
+def addable(preds: Sequence[int], placed: int) -> list[int]:
+    """The vertices outside ``placed`` whose predecessors all lie inside it, in
+    ascending order: the vertices that may come next. ``preds[v]`` is the
+    bitmask of v's predecessors."""
+    outside = ~placed
+    return [v for v, p in enumerate(preds) if outside >> v & 1 and not p & outside]
 
-    def dfs(u: int) -> list[int] | None:
-        color[u] = 1
-        stack.append(u)
-        for w in adj[u]:
-            if color[w] == 1:
-                return stack[stack.index(w):] + [w]
-            if color[w] == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        stack.pop()
-        color[u] = 2
-        return None
 
-    for v in range(n):
-        if color[v] == 0:
-            found = dfs(v)
-            if found:
-                return found
-    raise AssertionError("no cycle found")
+def linear_extension(preds: Sequence[int], pick: Callable[[list[int]], int]) -> list[int]:
+    """A topological order: place ``pick(addable(preds, placed))`` until every
+    vertex is placed.
+
+    When no vertex is ready, every unplaced vertex has an unplaced predecessor;
+    walking predecessors back from one reaches a repeated vertex, and the walk
+    between the repeats, read forward, is the cycle raised as CycleError.
+    """
+    order: list[int] = []
+    placed = 0
+    while len(order) < len(preds):
+        ready = addable(preds, placed)
+        if not ready:
+            v = next(v for v in range(len(preds)) if not placed >> v & 1)
+            walk: list[int] = []
+            while v not in walk:
+                walk.append(v)
+                v = (preds[v] & ~placed).bit_length() - 1  # highest unplaced predecessor
+            raise CycleError([v] + walk[walk.index(v):][::-1])
+        v = pick(ready)
+        order.append(v)
+        placed |= 1 << v
+    return order
 
 
 def _close_edges(n: int, edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
     """Transitive closure of a DAG edge relation; raises CycleError otherwise."""
-    adj = [[] for _ in range(n)]
+    preds = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise EpisodeError(f"edge ({u},{v}) out of range for {n} vertices")
-        if u == v:
-            raise CycleError([u, u])
-        adj[u].append(v)
-
-    # reachability masks in reverse topological order
-    indeg = [0] * n
-    for u in range(n):
-        for v in adj[u]:
-            indeg[v] += 1
-    order = [v for v in range(n) if indeg[v] == 0]
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                order.append(v)
-    if len(order) < n:
-        raise CycleError(_find_cycle(n, adj))
-
-    reach = [0] * n
-    for u in reversed(order):
-        mask = 0
-        for v in adj[u]:
-            mask |= (1 << v) | reach[v]
-        reach[u] = mask
-    closed = set()
-    for u in range(n):
-        mask = reach[u]
-        while mask:
-            low = mask & -mask
-            closed.add((u, low.bit_length() - 1))
-            mask ^= low
-    return frozenset(closed)
+        preds[v] |= 1 << u
+    ancestors = [0] * n
+    for v in linear_extension(preds, min):  # a vertex's ancestors come first
+        for u in range(n):
+            if preds[v] >> u & 1:
+                ancestors[v] |= ancestors[u] | 1 << u
+    return frozenset((u, v) for v in range(n) for u in range(n) if ancestors[v] >> u & 1)
 
 
 def _canonical_permutation(labels: Sequence[str], closed: frozenset[tuple[int, int]]) -> list[int]:
@@ -203,30 +185,11 @@ def strictify(episode: Episode) -> Episode:
     the same sequences. For general inputs the chain follows a topological
     order of the closed episode, so the result is always a DAG.
     """
-    # deterministic topological order (smallest vertex id first)
-    n = episode.n
-    preds = episode.predecessor_masks()
-    placed = 0
-    topo: list[int] = []
-    remaining = set(range(n))
-    while remaining:
-        ready = sorted(v for v in remaining if preds[v] & ~placed == 0)
-        if not ready:
-            raise CycleError(sorted(remaining))
-        v = ready[0]
-        topo.append(v)
-        placed |= 1 << v
-        remaining.remove(v)
-    rank = {v: i for i, v in enumerate(topo)}
-
-    groups: dict[str, list[int]] = {}
-    for v in range(n):
+    groups: dict[str, list[int]] = {}  # each label's vertices in topological order
+    for v in linear_extension(episode.predecessor_masks(), min):
         groups.setdefault(episode.labels[v], []).append(v)
-    extra = []
-    for verts in groups.values():
-        verts.sort(key=lambda v: rank[v])
-        extra.extend(zip(verts, verts[1:]))
-    return make_episode(episode.labels, set(episode.edges) | set(extra))
+    chains = {pair for verts in groups.values() for pair in zip(verts, verts[1:])}
+    return make_episode(episode.labels, episode.edges | chains)
 
 
 def induced(episode: Episode, vertices: Iterable[int]) -> Episode:
@@ -240,25 +203,22 @@ def induced(episode: Episode, vertices: Iterable[int]) -> Episode:
     return Episode(labels, edges)  # closed subgraph of a closed DAG stays closed/canonical
 
 
-def prefix_graphs(episode: Episode, vertex_cap: int = VERTEX_CAP) -> list[int]:
+def prefix_graphs(episode: Episode) -> list[int]:
     """All ancestor-closed vertex sets as bitmasks, ordered by (size, mask).
 
     Includes the empty set and the full vertex set. The count is exponential
-    for parallel episodes, hence the vertex cap.
+    for parallel episodes, hence the vertex cap ``VERTEX_CAP``.
     """
-    if episode.n > vertex_cap:
+    if episode.n > VERTEX_CAP:
         raise SizeCapError(
-            f"episode has {episode.n} vertices, above the cap of {vertex_cap}")
+            f"episode has {episode.n} vertices, above the cap of {VERTEX_CAP}")
     preds = episode.predecessor_masks()
     seen = {0}
     frontier = [0]
     while frontier:
         mask = frontier.pop()
-        for v in range(episode.n):
-            bit = 1 << v
-            if mask & bit or preds[v] & ~mask:
-                continue
-            nxt = mask | bit
+        for v in addable(preds, mask):
+            nxt = mask | 1 << v
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)

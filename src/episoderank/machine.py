@@ -20,7 +20,7 @@ from .episodes import (
     Episode,
     SizeCapError,
     StrictnessError,
-    VERTEX_CAP,
+    addable,
     is_proper_superepisode_same_vertices,
     is_strict,
     prefix_graphs,
@@ -87,25 +87,21 @@ class Machine:
         return cached[2]
 
 
-def build_machine(episode: Episode, vertex_cap: int = VERTEX_CAP,
-                  state_cap: int = STATE_CAP) -> Machine:
-    """Construct the automaton; deterministic state and edge numbering."""
+def build_machine(episode: Episode) -> Machine:
+    """Construct the automaton; deterministic state and edge numbering.
+
+    Edges come out in (source state, added vertex) order.
+    """
     if not is_strict(episode):
         raise StrictnessError("machine construction requires a strict episode")
-    states = prefix_graphs(episode, vertex_cap=vertex_cap)
-    if len(states) > state_cap:
+    states = prefix_graphs(episode)
+    if len(states) > STATE_CAP:
         raise SizeCapError(
-            f"machine would have {len(states)} states, above the cap of {state_cap}")
+            f"machine would have {len(states)} states, above the cap of {STATE_CAP}")
     index = {mask: i for i, mask in enumerate(states)}
     preds = episode.predecessor_masks()
-    edges: list[MachineEdge] = []
-    for i, mask in enumerate(states):
-        for v in range(episode.n):
-            bit = 1 << v
-            if mask & bit or preds[v] & ~mask:
-                continue
-            edges.append(MachineEdge(i, index[mask | bit], episode.labels[v], v))
-    edges.sort(key=lambda e: (e.src, e.vertex))
+    edges = [MachineEdge(i, index[mask | 1 << v], episode.labels[v], v)
+             for i, mask in enumerate(states) for v in addable(preds, mask)]
     return Machine(episode, states, edges)
 
 

@@ -356,7 +356,7 @@ def gradient_hessian(stats: StateStats, params: ModelParams, machine: Machine,
 
 # --- fitting --------------------------------------------------------------------
 
-def _class_weights(collapsed: Sequence[CollapsedAlphabet], totals: np.ndarray, t_cap: float,
+def _class_weights(collapsed: Sequence[CollapsedAlphabet], totals: np.ndarray,
                    closed_form: bool) -> list[tuple[np.ndarray, int]]:
     """Per-class weights and the pinned class of every member of a batch.
 
@@ -364,7 +364,7 @@ def _class_weights(collapsed: Sequence[CollapsedAlphabet], totals: np.ndarray, t
     pinned class is the catch-all class unless it never occurs, then the
     first label class with events (the model is shift-invariant in u, so any
     observed class works as the gauge). Without boosts the free classes solve
-    n_k = N p_k, which gives u_k = log(n_k / n_pinned) + log1p(z e^-t_cap)
+    n_k = N p_k, which gives u_k = log(n_k / n_pinned) + log1p(z e^-T_CAP)
     with z classes at the floor; Newton starts boosted fits from the same
     point without the correction. The arithmetic is elementwise, so a member
     gets the same weights in any batch.
@@ -378,21 +378,21 @@ def _class_weights(collapsed: Sequence[CollapsedAlphabet], totals: np.ndarray, t
     observed = np.flatnonzero(nz)
     star = starts + np.array([c.star for c in collapsed], dtype=np.intp)
     pinned = np.where(nz[star], star, observed[np.searchsorted(observed, starts)])
-    floor = [math.log1p(z * math.exp(-t_cap)) if closed_form else 0.0
+    floor = [math.log1p(z * math.exp(-T_CAP)) if closed_form else 0.0
              for z in np.bincount(member[~nz], minlength=len(sizes)).tolist()]
     owner = member[nz]
-    u = np.full(len(totals), -t_cap)
+    u = np.full(len(totals), -T_CAP)
     u[nz] = np.log(totals[nz]) - np.log(totals[pinned])[owner] + np.array(floor)[owner]
-    # the clip binds only when one class outnumbers another e^t_cap (about
+    # the clip binds only when one class outnumbers another e^T_CAP (about
     # 7e10) times, so the closed form is the box-constrained maximum below that
-    np.clip(u, -t_cap, t_cap, out=u)
+    np.clip(u, -T_CAP, T_CAP, out=u)
     u[pinned] = 0.0
     return [(u[lo:lo + k].copy(), p - lo)
             for lo, k, p in zip(starts.tolist(), sizes.tolist(), pinned.tolist())]
 
 
-def fit_independence(dataset: Dataset, collapsed: Sequence[CollapsedAlphabet],
-                     t_cap: float = T_CAP) -> list[ModelParams]:
+def fit_independence(dataset: Dataset,
+                     collapsed: Sequence[CollapsedAlphabet]) -> list[ModelParams]:
     """Closed-form independence fits of a batch, from the corpus label counts.
 
     Under an episode's own collapsed alphabet (:func:`collapse_alphabet`) the
@@ -410,16 +410,15 @@ def fit_independence(dataset: Dataset, collapsed: Sequence[CollapsedAlphabet],
                   for lab in col.classes[:col.star]]
         totals += labels + [dataset.total_events - sum(labels)]
     return [ModelParams(col, u, 0.0, 0.0, pinned) for col, (u, pinned)
-            in zip(collapsed, _class_weights(collapsed, np.array(totals, dtype=float), t_cap,
+            in zip(collapsed, _class_weights(collapsed, np.array(totals, dtype=float),
                                              closed_form=True))]
 
 
 def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
-        t_cap: float = T_CAP, max_iter: int = MAX_ITER,
         grad_tol: float = GRAD_TOL) -> ModelParams:
     """Maximize the likelihood inside the box.
 
-    All weights live in ``[-t_cap, t_cap]``; classes with zero total count are
+    All weights live in ``[-T_CAP, T_CAP]``; classes with zero total count are
     held at the floor (their gradient only ever points further down), and a
     boost with an empty edge set stays at zero. With both edge sets empty the
     maximum has a closed form; otherwise damped Newton steps are backtracked
@@ -429,7 +428,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     collapsed = stats.collapsed
     K = collapsed.size
     totals = stats.n.sum(axis=0)
-    u, pinned = _class_weights([collapsed], totals, t_cap, closed_form=spec.is_empty)[0]
+    u, pinned = _class_weights([collapsed], totals, closed_form=spec.is_empty)[0]
     if spec.is_empty:
         return ModelParams(collapsed, u, 0.0, 0.0, pinned)
     x = np.concatenate([u, [0.0, 0.0]])  # full layout: classes then t1, t2
@@ -451,14 +450,14 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     if not np.isfinite(ll):
         raise NumericalFitError("non-finite likelihood at the starting point")
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         grad, hess = gradient_hessian(stats, make_params(x), machine, spec)
         if not np.all(np.isfinite(grad)):
             raise NumericalFitError("non-finite gradient during fitting")
         xl = x[layout]
         free = movable_in_layout.copy()
         # freeze coordinates pressed outward against the box
-        free &= ~((xl >= t_cap) & (grad > 0)) & ~((xl <= -t_cap) & (grad < 0))
+        free &= ~((xl >= T_CAP) & (grad > 0)) & ~((xl <= -T_CAP) & (grad < 0))
         if not free.any() or float(np.abs(grad[free]).max()) < grad_tol:
             break
         sub = np.ix_(free, free)
@@ -468,7 +467,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
         improved = False
         while alpha > 1e-12:
             trial = xl.copy()
-            trial[free] = np.clip(trial[free] + alpha * step, -t_cap, t_cap)
+            trial[free] = np.clip(trial[free] + alpha * step, -T_CAP, T_CAP)
             x_new = x.copy()
             x_new[layout] = trial
             ll_new = log_likelihood(stats, make_params(x_new), machine, spec)

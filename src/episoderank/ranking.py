@@ -30,7 +30,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
 
 from .datagen import DataError, Dataset
-from .episodes import Episode, EpisodeError, prefix_graphs, vertex_set_label
+from .episodes import Episode, EpisodeError, vertex_set_label
+from .episodes import prefix_graphs  # noqa: F401  (perfbench/tracer.py wraps ranking.prefix_graphs)
 from .machine import Machine, block_prefix, block_super, build_machine
 from .miner import CandidateSet
 from .model import (  # noqa: F401  (perfbench/tracer.py wraps ranking.collect_statistics)
@@ -258,7 +259,7 @@ def _partition_models(machine: Machine,
     full = (1 << episode.n) - 1
     models = [(f"prefix:{vertex_set_label(episode, w)}",
                PartitionSpec(block_prefix(machine, w), block_prefix(machine, full ^ w)))
-              for w in prefix_graphs(episode) if w not in (0, full)]
+              for w in machine.states if w not in (0, full)]
     if candidates is not None:
         models += [(f"super:{sup.eid}",
                     PartitionSpec(block_super(machine, sup.episode), frozenset()))

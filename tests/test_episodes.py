@@ -8,10 +8,12 @@ from episoderank.episodes import (
     Episode,
     SizeCapError,
     StrictnessError,
+    addable,
     describe,
     induced,
     is_proper_superepisode_same_vertices,
     is_strict,
+    linear_extension,
     load_episodes,
     make_episode,
     parallel,
@@ -50,6 +52,42 @@ def _reachability_closure(n, edges):
     return closed
 
 
+def _random_dag(rng):
+    """A vertex count and the edges of a random DAG over a random vertex order."""
+    n = int(rng.integers(1, 8))
+    order = [int(v) for v in rng.permutation(n)]
+    edges = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.35]
+    return n, edges
+
+
+def _assert_cycle(cycle, edges):
+    """A cycle witness is a closed walk over the given edges."""
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1], cycle
+    assert all(pair in set(edges) for pair in zip(cycle, cycle[1:])), (cycle, edges)
+
+
+class TestOrderRule:
+    def test_addable_is_ready_vertices_ascending(self):
+        preds = diamond().predecessor_masks()
+        assert addable(preds, 0) == [0]
+        assert addable(preds, 0b0001) == [1, 2]
+        assert addable(preds, 0b0011) == [2]
+        assert addable(preds, 0b1111) == []
+
+    def test_linear_extension_places_each_vertex_after_its_predecessors(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n, edges = _random_dag(rng)
+            preds = [0] * n
+            for u, v in edges:
+                preds[v] |= 1 << u
+            order = linear_extension(preds, lambda ready: ready[int(rng.integers(len(ready)))])
+            assert sorted(order) == list(range(n))
+            pos = {v: i for i, v in enumerate(order)}
+            assert all(pos[u] < pos[v] for u, v in edges), (edges, order)
+
+
 class TestClosure:
     def test_chain(self):
         ep = make_episode("abc", [(0, 1), (1, 2)])
@@ -64,11 +102,39 @@ class TestClosure:
         ep = diamond()
         assert len(ep.edges) == 5
         assert ep.edges == frozenset(_reachability_closure(4, DIAMOND_EDGES))
+        # seeded random DAGs; distinct labels in vertex order keep the
+        # canonical order the identity
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n, edges = _random_dag(rng)
+            ep = make_episode("abcdefg"[:n], edges)
+            assert ep.edges == frozenset(_reachability_closure(n, edges)), edges
 
     def test_cycle_rejected_with_witness(self):
         with pytest.raises(CycleError) as exc:
             make_episode("abc", [(0, 1), (1, 2), (2, 0)])
-        assert len(exc.value.cycle) >= 2
+        _assert_cycle(exc.value.cycle, [(0, 1), (1, 2), (2, 0)])
+        rng = np.random.default_rng(22)
+        cyclic = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 7))
+            edges = [(u, v) for u in range(n) for v in range(n)
+                     if u != v and rng.random() < 0.3]
+            if not any((v, v) in _reachability_closure(n, edges) for v in range(n)):
+                make_episode("a" * n, edges)  # acyclic: accepted
+                continue
+            cyclic += 1
+            with pytest.raises(CycleError) as exc:
+                make_episode("a" * n, edges)
+            _assert_cycle(exc.value.cycle, edges)
+        assert cyclic > 50
+        # a self-loop on a DAG is the only cycle, and its witness is [v, v]
+        for _ in range(100):
+            n, edges = _random_dag(rng)
+            v = int(rng.integers(n))
+            with pytest.raises(CycleError) as exc:
+                make_episode("abcdefg"[:n], edges + [(v, v)])
+            assert exc.value.cycle == [v, v]
 
     def test_self_loop_rejected(self):
         with pytest.raises(CycleError):
@@ -125,6 +191,14 @@ class TestStrictness:
         assert chained == serial("aaa")
         for seq in all_sequences("ab", 4):
             assert brute_force_covers(par, seq) == brute_force_covers(chained, seq)
+
+    def test_strictify_rejects_a_cyclic_episode_with_its_cycle(self):
+        # built directly, so neither closed nor checked for cycles
+        for edges in ([(0, 1), (1, 2), (2, 0)], [(0, 1), (2, 2)]):
+            ep = Episode(("a", "b", "a"), frozenset(edges))
+            with pytest.raises(CycleError) as exc:
+                strictify(ep)
+            _assert_cycle(exc.value.cycle, edges)
 
     def test_strictify_respects_existing_partial_order(self):
         # two a's already ordered through an intermediate vertex
