@@ -73,19 +73,6 @@ def _load_candidates(args: argparse.Namespace, dataset: datagen.Dataset) -> mine
     return candidates
 
 
-def _load_dataset(args: argparse.Namespace) -> datagen.Dataset:
-    """Load the corpus and refuse --exact past the limit before any mining starts.
-
-    The one place the limit is enforced: rank and explain, the only commands
-    with --exact, both load through here first."""
-    dataset = datagen.load_sequences(args.data)
-    if args.exact and dataset.num_sequences > ranking.EXACT_LIMIT:
-        raise datagen.DataError(
-            f"--exact supports at most {ranking.EXACT_LIMIT} sequences "
-            f"(dataset has {dataset.num_sequences})")
-    return dataset
-
-
 def _int_list(text: str) -> list[int]:
     """argparse type for comma-separated integers."""
     try:
@@ -139,7 +126,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
-    dataset = _load_dataset(args)
+    dataset = datagen.load_sequences(args.data)
     candidates = _load_candidates(args, dataset)
 
     mining = ["min_support", "max_len", "max_size"] if args.mine else []
@@ -223,7 +210,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    dataset = _load_dataset(args)
+    dataset = datagen.load_sequences(args.data)
     candidates = _load_candidates(args, dataset)
     target = next((c for c in candidates if c.eid == args.id), None)
     if target is None:

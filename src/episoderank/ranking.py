@@ -12,11 +12,12 @@ gives every support and, for the episodes with a partition model to fit, the
 sufficient statistics; the independence models come in closed form from the
 corpus label counts. :func:`rank_models` is the one path from fitted models to
 ranks: one reach recursion over the union up to the longest sequence, the sink
-column read at every length, then each member's tail; :func:`rank` is its call
-for one model. Every episode also lists its partition models (every proper
-prefix split, every same-vertex stricter candidate), fitted one by one on its
-statistics; the combined rank is the lowest over that family. An episode's
-numbers do not depend on the batch it shares.
+column read at every length, then one tail call for the members of each tail
+method; :func:`rank` is its call for one model. Every episode also lists its
+partition models (every proper prefix split, every same-vertex stricter
+candidate), fitted one by one on its statistics; the combined rank is the
+lowest over that family. An episode's numbers do not depend on the batch it
+shares.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import multiprocessing
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln, log_ndtr, xlog1py, xlogy
+from scipy.special import expit, gammaln, log_ndtr
 
 from .datagen import DataError, Dataset
 from .episodes import Episode, EpisodeError, vertex_set_label
@@ -50,7 +50,6 @@ from .model import (  # noqa: F401  (perfbench/tracer.py wraps ranking.collect_s
 )
 
 POISSON_MU_MAX = 10.0  # below this the normal approximation is unreliable
-EXACT_LIMIT = 5_000  # most sequences the CLI lets --exact run on
 INDEPENDENCE = "independence"
 # array cells one batch of episodes fills at most (an episode needing more is
 # a batch alone): the corpus events its walk reads plus its reach table's
@@ -60,96 +59,223 @@ BATCH_CELLS = 1 << 15
 
 # --- tail probabilities -----------------------------------------------------------
 
-_BAND_CELLS = 1 << 20  # cells per block of the banded convolution: 8 MB of float64
+TAIL_WINDOW = 45.0  # a tilted class keeps the pmf terms within e^-45 of its largest
+_WINDOW_CELLS = 1 << 16  # classes x members x window cells evaluated at once: 512 KB
+_NEWTON_STEPS = 200  # most safeguarded Newton steps for one saddlepoint
+_LOG_1E17 = math.log(1e-17)
 
 
-def tail_exact(probs, n: int, counts=None) -> float:
+def tail_exact(probs, n, counts=None):
     """Log survival P(X >= n), X the sum of independent Binomial(counts[k], probs[k]).
 
-    ``counts`` defaults to one per probability (a Poisson-binomial over single
-    sequences); grouping sequences of equal cover probability costs one banded
-    convolution per class instead of one step per sequence. Mass reaching n
-    successes is absorbed class by class, so the result is a sum of positive
-    terms and stays accurate even when astronomically small.
+    ``probs`` of shape [M, L] with ``n`` of shape [M] gives the survivals of M
+    members as an array; ``probs`` [L] with a scalar ``n`` gives a float.
+    ``counts`` [L] is shared by the members and defaults to one per probability
+    (a Poisson-binomial over single sequences).
+
+    Exponential tilting (Keich, J. Comput. Biol. 12(4), 2005): theta solves
+    K'(theta) = n, K the cumulant generating function of X, so the tilted law
+    P_theta(x) = P(x) e^(theta x - K(theta)) is centred on n, and
+    P(X >= n) = e^(K(theta) - theta n) sum_{x >= n} P_theta(x) e^(-theta (x - n)),
+    a sum of positive terms with weights at most 1. Each class's tilted
+    binomial keeps the terms within e^-TAIL_WINDOW of its largest, and the
+    classes are convolved in linear space; the cost grows with the classes'
+    spreads, not with n or the number of sequences. Below the mean theta < 0,
+    and the same sum over x < n gives P(X < n), returned as log1p(-P(X < n)).
+    A member's value depends on its own inputs alone, not on the batch.
     """
     probs = np.asarray(probs, dtype=float)
-    counts = np.ones(len(probs), dtype=int) if counts is None else np.asarray(counts, dtype=int)
-    if n <= 0:
-        return 0.0
-    if n > counts.sum():
-        return -math.inf
-    log_f = np.full(n, -np.inf)
-    log_f[0] = 0.0  # log P(j successes so far), j = 0..n-1
-    absorbed = -np.inf
-    log_fact = gammaln(np.arange(counts.max() + 1) + 1.0)
-    for p, c in zip(probs, counts):
-        if c == 0:
-            continue
-        j = np.arange(c + 1)
-        log_pmf = (log_fact[c] - log_fact[:c + 1] - log_fact[c::-1]
-                   + xlogy(j, p) + xlog1py(c - j, -p))
-        log_sf = np.logaddexp.accumulate(log_pmf[::-1])[::-1]  # log P(Bin >= x)
-        # gammaln rounding scales the whole pmf by 1 + O(c eps); renormalise
-        log_pmf -= log_sf[0]
-        log_sf -= log_sf[0]
-        lo = max(0, n - c)  # counts below lo cannot reach n within this class
-        absorbed = np.logaddexp(absorbed, _log_sum_exp(log_f[lo:] + log_sf[n - lo:0:-1]))
-        # new log_f[j] = log sum_b exp(log_f[j - b] + log_pmf[b]) over b < width
-        width = min(c, n - 1) + 1
-        padded = np.concatenate((np.full(width - 1, -np.inf), log_f))
-        windows = sliding_window_view(padded, width)  # row j holds log_f[j-width+1..j]
-        rows = max(1, _BAND_CELLS // width)  # bound the temporary at large supports
-        log_f = np.concatenate([_log_sum_exp(windows[i:i + rows] + log_pmf[width - 1::-1])
-                                for i in range(0, n, rows)])
-    return float(absorbed)
+    p = np.ascontiguousarray(np.atleast_2d(probs).T)  # [L, M]: members along the rows
+    need = np.atleast_1d(np.asarray(n)).astype(np.int64)
+    c = np.ones(len(p), dtype=np.int64) if counts is None else np.asarray(counts, dtype=np.int64)
+    live = (p > 0.0) & (p < 1.0) & (c[:, None] > 0)  # classes whose count is random
+    need = need - ((p >= 1.0) * c[:, None]).sum(axis=0)  # certain successes (exact integers)
+    spread = np.where(live, c[:, None], 0).sum(axis=0)
+    out = np.where(need <= 0, 0.0, -np.inf)  # certain below 1, impossible above spread
+    every = np.flatnonzero((need > 0) & (need == spread))
+    if every.size:  # every random trial succeeds
+        out[every] = _class_sum(c[:, None] * np.log(np.where(live[:, every], p[:, every], 1.0)))
+    tilt = np.flatnonzero((need > 0) & (need < spread))
+    if tilt.size:
+        out[tilt] = _tilted(p[:, tilt], live[:, tilt], need[tilt], c)
+    return float(out[0]) if probs.ndim == 1 else out
 
 
-def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
-    """log(sum(exp(terms))) over the last axis, max-shifted; all -inf gives -inf."""
-    top = terms.max(axis=-1, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the class axis one class at a time: a member's sum then has
+    the same rounding however many members share the array."""
+    total = np.zeros(terms.shape[1:])
+    for row in terms:
+        total = total + row
+    return total
+
+
+def _tilted(p: np.ndarray, live: np.ndarray, n: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """:func:`tail_exact` of members with 0 < n < (trials of live classes);
+    ``p`` and ``live`` are [L, M], ``n`` [M] net of certain successes."""
+    p = np.where(live, p, 0.5)
+    cl = np.where(live, c[:, None], 0)
+    weight = cl.astype(float)
+    logit = np.log(p) - np.log1p(-p)
+    theta, mean = _saddlepoint(p, logit, live, weight, n)
+    r = theta + logit  # tilted log-odds of each class
+    # K(theta) = sum_k c_k log(1 - p_k + p_k e^theta), relatively accurate near 0
+    log_mgf = np.log1p(p * np.expm1(np.minimum(theta, 700.0)))
+    far = np.flatnonzero(theta > 700.0)
+    log_mgf[:, far] = np.logaddexp(np.log1p(-p[:, far]), np.log(p[:, far]) + theta[far])
+    shift = _class_sum(weight * log_mgf) - theta * n
+    # each class's window lies inside its Bernstein range: a kept term has
+    # pmf >= e^-TAIL_WINDOW / (c + 1), and pmf(j) <= exp(-d^2 / (2 (v + d/3)))
+    # at distance d from the tilted mean
+    q = expit(r)
+    var = weight * q * expit(-r)
+    bound = TAIL_WINDOW + np.log(weight + 1.0) + 1.0
+    reach = bound / 3.0 + np.sqrt(bound * bound / 9.0 + 2.0 * bound * var)
+    lo = np.clip(np.floor(weight * q - reach), 0, cl).astype(np.int64)
+    hi = np.clip(np.ceil(weight * q + reach), 0, cl).astype(np.int64)
+    # log pmf at each window's start; its rounding, up to c eps, scales the
+    # whole class and cancels against the law's total below
+    log_start = (gammaln(weight + 1.0) - gammaln(lo + 1.0) - gammaln(weight - lo + 1.0)
+                 + lo * r - weight * np.logaddexp(0.0, r))
+    upper = mean <= n
+    tail, total = np.empty(len(n)), np.empty(len(n))
+    # members per window grid: classes x members x the widest window <= _WINDOW_CELLS
+    per = max(1, _WINDOW_CELLS // (len(p) * int((hi - lo).max() + 1)))
+    for chunk in (slice(s, min(s + per, len(n))) for s in range(0, len(n), per)):
+        width = int((hi[:, chunk] - lo[:, chunk]).max()) + 1
+        j = lo[:, chunk, None] + np.arange(width - 1)
+        inside = np.arange(width) <= (hi - lo)[:, chunk, None]
+        # then steps log(pmf(j + 1) / pmf(j)) = log((c - j) / (j + 1)) + r, summed in
+        # order: a term's rounding stays near eps times its distance from the start
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.log(weight[:, chunk, None] - j) - np.log(j + 1.0) + r[:, chunk, None]
+        log_pmf = np.concatenate((log_start[:, chunk, None], step), axis=2).cumsum(axis=2)
+        log_pmf = np.where(inside, log_pmf, -np.inf)
+        keep = log_pmf >= log_pmf.max(axis=2, keepdims=True) - TAIL_WINDOW
+        pmf = np.where(keep, np.exp(log_pmf), 0.0)
+        first = keep.argmax(axis=2)
+        last = width - keep[:, :, ::-1].argmax(axis=2)
+        start = np.where(live[:, chunk], lo[:, chunk] + first, 0).sum(axis=0)
+        for i, m in enumerate(range(chunk.start, chunk.stop)):
+            law = None
+            for k in np.flatnonzero(live[:, m]).tolist():
+                window = pmf[k, i, first[k, i]:last[k, i]]
+                law = window if law is None else np.convolve(law, window)
+            # weights e^(-theta (x - n)) <= 1 over x >= n above the mean, x < n below
+            t = int(n[m] - start[i])
+            span = slice(max(t, 0), None) if upper[m] else slice(0, min(max(t, 0), len(law)))
+            x = np.arange(len(law))[span] - t
+            tail[m] = (law[span] * np.exp(-theta[m] * x)).sum()
+            total[m] = law.sum()
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(terms - top).sum(axis=-1)) + top[..., 0]
+        log_tail = shift + np.log(tail) - np.log(total)
+    return np.where(upper, log_tail, np.log1p(-np.exp(log_tail)))
 
 
-def tail_normal(mu: float, sigma2: float, n: float) -> float:
+def _saddlepoint(p, logit, live, weight, n) -> tuple[np.ndarray, np.ndarray]:
+    """theta with K'(theta) = n for every member, and the mean K'(0).
+
+    Newton on the increasing K'(theta) = sum_k c_k expit(theta + logit_k),
+    kept inside a bracket where every class's tilted probability lies below
+    or above n / (trials); a step leaving the bracket bisects it instead.
+    A member stops once it is within 1e-6 standard deviations of n, or its
+    bracket is pinned, and is not touched again.
+    """
+    mean = _class_sum(weight * p)
+    spread = _class_sum(weight)
+    odds = np.log(n / (spread - n))
+    lo = odds - np.where(live, logit, -np.inf).max(axis=0)
+    hi = odds - np.where(live, logit, np.inf).min(axis=0)
+    with np.errstate(divide="ignore"):
+        theta = np.clip(odds - np.log(mean / (spread - mean)), lo, hi)
+    out = np.empty(len(n))
+    todo = np.arange(len(n))
+    for _ in range(_NEWTON_STEPS):
+        r = theta + logit[:, todo]
+        w = weight[:, todo]
+        q = expit(r)
+        g = _class_sum(w * q) - n[todo]
+        h = _class_sum(w * q * expit(-r))
+        done = (np.abs(g) <= 1e-6 * np.sqrt(h)) | (hi - lo <= 1e-12 * (1.0 + np.abs(theta)))
+        out[todo[done]] = theta[done]
+        more = ~done
+        todo, theta, lo, hi, g, h = (a[more] for a in (todo, theta, lo, hi, g, h))
+        if not todo.size:
+            break
+        lo = np.where(g < 0, theta, lo)
+        hi = np.where(g > 0, theta, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = theta - g / h
+        theta = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    out[todo] = theta
+    return out, mean
+
+
+def tail_normal(mu, sigma2, n):
     """Log survival of N(mu, sigma2) above n - 1/2 (continuity corrected).
 
-    ``log_ndtr`` keeps full accuracy far into the tail, where the survival
-    probability itself would underflow long before z reaches the hundreds.
+    Elementwise: arrays give an array, scalars a float. ``log_ndtr`` keeps full
+    accuracy far into the tail, where the survival probability itself would
+    underflow long before z reaches the hundreds.
     """
-    if sigma2 <= 0.0:
-        return 0.0 if n <= mu else -math.inf
-    z = (n - 0.5 - mu) / math.sqrt(sigma2)
-    return float(log_ndtr(-z))
+    mu, sigma2, n = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (mu, sigma2, n)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (n - 0.5 - mu) / np.sqrt(sigma2)
+    out = np.where(sigma2 > 0.0, log_ndtr(-z), np.where(n <= mu, 0.0, -np.inf))
+    return float(out) if out.ndim == 0 else out
 
 
-def tail_poisson(mu: float, n: int) -> float:
-    """Log survival P(Poisson(mu) >= n), stable deep into the upper tail."""
-    if n <= 0:
-        return 0.0
-    if mu <= 0.0:
-        return -math.inf
-    if n <= mu:
-        # survival is order one; the short lower sum has no cancellation issue
-        k = np.arange(n)
-        log_pmf = -mu + k * math.log(mu) - gammaln(k + 1)
-        m = log_pmf.max()
-        cdf = math.exp(m) * float(np.exp(log_pmf - m).sum())
-        return math.log1p(-cdf) if cdf < 1.0 else -math.inf
-    # direct series sum_{k>=n} pmf(k): decreasing terms, geometric remainder bound
-    log_mu = math.log(mu)
-    log_term = -mu + n * log_mu - float(gammaln(n + 1))
-    acc = log_term
-    k = n
-    while True:
-        k += 1
-        log_term += log_mu - math.log(k)
+def tail_poisson(mu, n):
+    """Log survival P(Poisson(mu) >= n), stable deep into the upper tail.
+
+    Elementwise: arrays give an array, scalars a float. Each value is the
+    same, bit for bit, as that member's one-member call.
+    """
+    mu, n = np.broadcast_arrays(np.asarray(mu, dtype=float), np.asarray(n))
+    scalar = mu.ndim == 0
+    mu, n = mu.ravel(), n.ravel().astype(np.int64)
+    out = np.where(n <= 0, 0.0, -np.inf)  # and -inf for mu <= 0
+    for i in np.flatnonzero((n > 0) & (mu > 0.0) & (n <= mu)).tolist():
+        out[i] = _poisson_lower(float(mu[i]), int(n[i]))
+    upper = np.flatnonzero((n > 0) & (mu > 0.0) & (n > mu))
+    if upper.size:
+        out[upper] = _poisson_series(mu[upper], n[upper])
+    return float(out[0]) if scalar else out
+
+
+def _poisson_lower(mu: float, n: int) -> float:
+    """Survival of order one: 1 - the short lower sum, which has no cancellation issue."""
+    k = np.arange(n)
+    log_pmf = -mu + k * math.log(mu) - gammaln(k + 1)
+    m = log_pmf.max()
+    cdf = math.exp(m) * float(np.exp(log_pmf - m).sum())
+    return math.log1p(-cdf) if cdf < 1.0 else -math.inf
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """``math.log`` of each entry (NumPy's vector log may differ in the last bit)."""
+    return np.fromiter(map(math.log, x.tolist()), dtype=float, count=len(x))
+
+
+def _poisson_series(mu: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Direct series sum_{k>=n} pmf(k) for n > mu: decreasing terms, stopped
+    per member once the geometric remainder bound falls below 1e-17 of the sum."""
+    log_mu = _logs(mu)
+    log_term = -mu + n * log_mu - gammaln(n + 1)
+    acc, k = log_term, n
+    out = np.empty(len(mu))
+    todo = np.arange(len(mu))
+    while todo.size:
+        k = k + 1
+        log_term = log_term + (log_mu - _logs(k))
         acc = np.logaddexp(acc, log_term)
         ratio = mu / (k + 1)
-        if log_term + math.log(ratio / (1.0 - ratio)) < acc + math.log(1e-17):
-            break
-    return float(acc)
+        done = log_term + _logs(ratio / (1.0 - ratio)) < acc + _LOG_1E17
+        out[todo[done]] = acc[done]
+        more = ~done
+        todo, mu, log_mu, log_term, acc, k = (
+            a[more] for a in (todo, mu, log_mu, log_term, acc, k))
+    return out
 
 
 # --- ranks -------------------------------------------------------------------------
@@ -175,7 +301,8 @@ def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[Part
     variance are summed one length at a time in ``length_counts`` order, for
     all members at once. Each member then uses the Poisson approximation when
     its expected support is small (at most 10), the corrected normal
-    approximation otherwise, or the exact Poisson-binomial law on request.
+    approximation otherwise, or the exact Poisson-binomial law on request;
+    each tail is one call for all the members that use it.
     """
     counts = dataset.length_counts()  # keyed in order of first appearance
     stay, edge_p = transition_rates(union, params, specs)
@@ -185,20 +312,25 @@ def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[Part
         p = sink[k]
         mu = mu + c * p
         sigma2 = sigma2 + c * p * (1.0 - p)
-    lengths = sorted(counts)
+    observed = np.asarray(observed, dtype=np.int64)
+    if exact:
+        lengths = sorted(counts)
+        methods = np.full(len(mu), "exact")
+        log_surv = tail_exact(sink[lengths].T, observed, [counts[k] for k in lengths])
+    else:
+        poisson = mu <= POISSON_MU_MAX
+        methods = np.where(poisson, "poisson", "normal")
+        log_surv = np.empty(len(mu))
+        if poisson.any():
+            log_surv[poisson] = tail_poisson(mu[poisson], observed[poisson])
+        if not poisson.all():
+            log_surv[~poisson] = tail_normal(mu[~poisson], sigma2[~poisson], observed[~poisson])
+    log_surv[observed <= 0] = 0.0  # P(X >= 0) = 1 identically
     results = []
-    for i, (m, s2, n) in enumerate(zip(mu.tolist(), sigma2.tolist(), observed)):
+    for m, s2, n, method, ls in zip(mu.tolist(), sigma2.tolist(), observed.tolist(),
+                                    methods.tolist(), log_surv.tolist()):
         zscore = (n - 0.5 - m) / math.sqrt(s2) if s2 > 0 else None
-        if exact:
-            method, log_surv = "exact", tail_exact(sink[lengths, i], n,
-                                                   [counts[k] for k in lengths])
-        elif m <= POISSON_MU_MAX:
-            method, log_surv = "poisson", tail_poisson(m, n)
-        else:
-            method, log_surv = "normal", tail_normal(m, s2, n)
-        if n <= 0:
-            log_surv = 0.0  # P(X >= 0) = 1 identically
-        results.append(RankResult(m, s2, n, max(0.0, -log_surv), method, explainer, zscore))
+        results.append(RankResult(m, s2, n, max(0.0, -ls), method, explainer, zscore))
     return results
 
 

@@ -6,10 +6,13 @@ with arrays, plus small wrappers that only tests use.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import gammaln, xlog1py, xlogy
 
 from episoderank.datagen import Alphabet, Dataset
 from episoderank.episodes import (
@@ -301,6 +304,85 @@ def rank_combined(episode: Episode, dataset: Dataset,
                   candidates: CandidateSet | None = None, exact: bool = False) -> RankResult:
     """Smallest rank over all prefix partitions and same-vertex stricter candidates."""
     return rank_episode("", episode, dataset, candidates, exact=exact).part
+
+
+_BAND_CELLS = 1 << 20  # cells per block of the banded convolution: 8 MB of float64
+
+
+def tail_exact_banded(probs, n: int, counts=None) -> float:
+    """Log survival P(X >= n), X the sum of independent Binomial(counts[k], probs[k]),
+    by the banded log-space convolution that ``ranking.tail_exact`` replaced.
+
+    One class at a time: the law of the count so far is kept in log space below
+    n, mass reaching n is absorbed through the class's log survival, and the
+    rest is convolved with the class's log-pmf as one banded n x width array.
+    O(sum_k n * min(counts[k], n)) work, every term positive.
+    """
+    probs = np.asarray(probs, dtype=float)
+    counts = np.ones(len(probs), dtype=int) if counts is None else np.asarray(counts, dtype=int)
+    if n <= 0:
+        return 0.0
+    if n > counts.sum():
+        return -math.inf
+    log_f = np.full(n, -np.inf)
+    log_f[0] = 0.0  # log P(j successes so far), j = 0..n-1
+    absorbed = -np.inf
+    log_fact = gammaln(np.arange(counts.max() + 1) + 1.0)
+    for p, c in zip(probs, counts):
+        if c == 0:
+            continue
+        j = np.arange(c + 1)
+        log_pmf = (log_fact[c] - log_fact[:c + 1] - log_fact[c::-1]
+                   + xlogy(j, p) + xlog1py(c - j, -p))
+        log_sf = np.logaddexp.accumulate(log_pmf[::-1])[::-1]  # log P(Bin >= x)
+        # gammaln rounding scales the whole pmf by 1 + O(c eps); renormalise
+        log_pmf -= log_sf[0]
+        log_sf -= log_sf[0]
+        lo = max(0, n - c)  # counts below lo cannot reach n within this class
+        absorbed = np.logaddexp(absorbed, _log_sum_exp(log_f[lo:] + log_sf[n - lo:0:-1]))
+        # new log_f[j] = log sum_b exp(log_f[j - b] + log_pmf[b]) over b < width
+        width = min(c, n - 1) + 1
+        padded = np.concatenate((np.full(width - 1, -np.inf), log_f))
+        windows = sliding_window_view(padded, width)  # row j holds log_f[j-width+1..j]
+        rows = max(1, _BAND_CELLS // width)  # bound the temporary at large supports
+        log_f = np.concatenate([_log_sum_exp(windows[i:i + rows] + log_pmf[width - 1::-1])
+                                for i in range(0, n, rows)])
+    return float(absorbed)
+
+
+def _log_sum_exp(terms: np.ndarray) -> np.ndarray:
+    """log(sum(exp(terms))) over the last axis, max-shifted; all -inf gives -inf."""
+    top = terms.max(axis=-1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(terms - top).sum(axis=-1)) + top[..., 0]
+
+
+def tail_poisson_loop(mu: float, n: int) -> float:
+    """Log survival P(Poisson(mu) >= n) for one member: the scalar series loop
+    that ``ranking.tail_poisson`` runs for a whole batch at once."""
+    if n <= 0:
+        return 0.0
+    if mu <= 0.0:
+        return -math.inf
+    if n <= mu:
+        k = np.arange(n)
+        log_pmf = -mu + k * math.log(mu) - gammaln(k + 1)
+        m = log_pmf.max()
+        cdf = math.exp(m) * float(np.exp(log_pmf - m).sum())
+        return math.log1p(-cdf) if cdf < 1.0 else -math.inf
+    log_mu = math.log(mu)
+    log_term = -mu + n * log_mu - float(gammaln(n + 1))
+    acc = log_term
+    k = n
+    while True:
+        k += 1
+        log_term += log_mu - math.log(k)
+        acc = np.logaddexp(acc, log_term)
+        ratio = mu / (k + 1)
+        if log_term + math.log(ratio / (1.0 - ratio)) < acc + math.log(1e-17):
+            break
+    return float(acc)
 
 
 def count_supports(episodes: list[tuple[str, Episode]],

@@ -140,25 +140,27 @@ class TestRankCommand:
         assert "max-size" not in plain_header
         assert "min-support=8 max-len=2 max-size=0" in mined.read_text().splitlines()[0]
 
-    def test_exact_limit_checked_before_mining(self, workspace, monkeypatch):
-        from episoderank import miner, ranking
+    def test_exact_report_does_not_depend_on_the_batch_bound(self, workspace, tmp_path,
+                                                             monkeypatch):
+        from episoderank import ranking
 
         root, corpus, eps = workspace
+        flags = ["--exact", "--mine", "--min-support", "8", "--max-len", "3", "--max-size", "2"]
         calls = []
-
-        def no_mining(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("mined before the --exact limit was checked")
-
-        monkeypatch.setattr(ranking, "EXACT_LIMIT", 10)
-        monkeypatch.setattr(miner, "mine_serial", no_mining)
-        monkeypatch.setattr(miner, "mine_parallel", no_mining)
-        assert main(["rank", "--data", str(corpus), "--mine", "--exact",
-                     "--threads", "1", "--no-timestamp"]) == 2
-        assert main(["explain", "--data", str(corpus), "--episodes", str(eps), "--mine",
-                     "--exact", "--id", "planted4"]) == 2
-        assert calls == []
-
+        tail_exact = ranking.tail_exact
+        monkeypatch.setattr(ranking, "tail_exact",
+                            lambda *args: calls.append(1) or tail_exact(*args))
+        reports, tail_calls = [], []
+        for bound in (ranking.BATCH_CELLS, 1 << 10):
+            monkeypatch.setattr(ranking, "BATCH_CELLS", bound)
+            out = tmp_path / f"exact-{bound}.tsv"
+            calls.clear()
+            assert main(_rank_args(corpus, eps, out) + flags) == 0
+            reports.append(out.read_text())
+            tail_calls.append(len(calls))
+        assert reports[0] == reports[1]
+        # one tail call a batch (and one a boosted model): the small bound cuts more batches
+        assert tail_calls[1] > tail_calls[0]
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_fit_skips_only_that_episode(self, workspace, tmp_path, monkeypatch,

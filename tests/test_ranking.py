@@ -33,7 +33,7 @@ from episoderank.ranking import (
     tail_poisson,
 )
 
-from oracles import rank_combined
+from oracles import rank_combined, tail_exact_banded, tail_poisson_loop
 
 # ln(1 - Phi(5)), computed with mpmath at 50 digits
 LOG_SURVIVAL_Z5 = -15.064998393988726
@@ -207,6 +207,74 @@ class TestTailExactGrouped:
         assert tail_exact([0.5, 0.2], 6, [3, 2]) == -math.inf
 
 
+class TestTailExactTilted:
+    """The batched tilted tail against the banded convolution it replaced."""
+
+    @staticmethod
+    def _grouped_cases():
+        rng = np.random.default_rng(14)
+        cases = []  # (probs, counts, observed supports)
+        for _ in range(30):
+            k = int(rng.integers(1, 9))
+            ps = rng.uniform(0.0, 0.5, size=k) * 10.0 ** -rng.integers(0, 4, size=k)
+            ps[rng.random(k) < 0.15] = 0.0
+            ps[rng.random(k) < 0.15] = 1.0
+            cs = rng.integers(0, 120, size=k)
+            total, mean = int(cs.sum()), float(ps @ cs)
+            sd = math.sqrt(float((ps * (1 - ps)) @ cs))
+            ns = {0, 1, total - 1, total, total + 1, math.floor(mean) - 1, math.floor(mean),
+                  math.ceil(mean), int(mean + 2 * sd) + 1, int(mean + 8 * sd) + 3}
+            cases.append((ps, cs, sorted(n for n in ns if n >= 0)))
+        # deep tails, below -500
+        cases.append((np.array([0.01, 0.02, 0.005, 0.03]), np.array([200, 150, 300, 100]),
+                      [300, 500]))
+        # n in the thousands, about a thousand sequences per class
+        cases.append((np.array([0.2, 0.5, 0.35, 0.6]), np.array([1000, 900, 1100, 800]),
+                      [1460, 1514, 1515, 1600, 1750]))
+        return cases
+
+    def test_matches_banded_convolution(self):
+        deep = 0
+        for ps, cs, ns in self._grouped_cases():
+            got = tail_exact(np.tile(ps, (len(ns), 1)), np.array(ns), cs)  # one batch a case
+            for n, value in zip(ns, got):
+                expected = tail_exact_banded(ps, n, cs)
+                deep += -math.inf < expected < -500
+                assert value == pytest.approx(expected, rel=1e-10)  # abs 1e-12 near 0
+        assert deep >= 2
+
+    def test_large_class_against_high_precision(self):
+        # 10^5 sequences in one class: log-gamma differences alone would be off
+        # by about 3e-11 relative here
+        import mpmath as mp
+
+        mp.mp.dps = 40
+        p, c = 2e-5, 100_000
+        for n in (1, 10, 40):
+            expected = float(mp.log(mp.betainc(n, c - n + 1, 0, p, regularized=True)))
+            assert tail_exact([p], n, [c]) == pytest.approx(expected, rel=1e-13)
+
+    def test_member_value_does_not_depend_on_its_batch(self, monkeypatch):
+        from episoderank import ranking
+
+        rng = np.random.default_rng(15)
+        cs = rng.integers(0, 200, size=7)
+        probs = rng.uniform(0.0, 0.3, size=(40, 7)) * 10.0 ** -rng.integers(0, 3, size=(40, 7))
+        probs[rng.random((40, 7)) < 0.05] = 0.0
+        probs[rng.random((40, 7)) < 0.05] = 1.0
+        mean = probs @ cs
+        n = np.maximum(0, np.round(mean + rng.normal(0.0, 4.0, size=40) * np.sqrt(mean + 1)))
+        n = n.astype(int)
+        batch = tail_exact(probs, n, cs)
+        alone = [tail_exact(p, int(m), cs) for p, m in zip(probs, n)]
+        assert all(isinstance(value, float) for value in alone)
+        assert batch.tolist() == alone
+        order = rng.permutation(40)
+        assert tail_exact(probs[order], n[order], cs).tolist() == batch[order].tolist()
+        monkeypatch.setattr(ranking, "_WINDOW_CELLS", 1)  # one member a window grid
+        assert tail_exact(probs, n, cs).tolist() == batch.tolist()
+
+
 class TestTailNormal:
     def test_symmetric_point(self):
         assert tail_normal(10.0, 4.0, 10.5) == pytest.approx(math.log(0.5), abs=1e-12)
@@ -266,6 +334,28 @@ class TestTailPoisson:
 
         for mu, n in [(50.0, 40), (50.0, 55), (8.0, 3)]:
             assert tail_poisson(mu, n) == pytest.approx(poisson.logsf(n - 1, mu), rel=1e-10)
+
+
+class TestApproxTailBatches:
+    def test_poisson_batch_equals_the_scalar_series(self):
+        rng = np.random.default_rng(16)
+        mu = rng.uniform(0.0, 12.0, size=300)
+        mu[:4] = 0.0
+        n = rng.integers(0, 45, size=300)
+        got = tail_poisson(mu, n)
+        assert got.tolist() == [tail_poisson_loop(float(m), int(k)) for m, k in zip(mu, n)]
+        assert isinstance(tail_poisson(2.0, 7), float)
+
+    def test_normal_batch_equals_one_member_calls(self):
+        rng = np.random.default_rng(18)
+        mu = rng.uniform(10.0, 80.0, size=100)
+        sigma2 = rng.uniform(0.0, 60.0, size=100)
+        sigma2[:5] = 0.0
+        n = rng.integers(0, 150, size=100)
+        got = tail_normal(mu, sigma2, n)
+        assert got.tolist() == [tail_normal(float(m), float(s), int(k))
+                                for m, s, k in zip(mu, sigma2, n)]
+        assert isinstance(tail_normal(10.0, 4.0, 12), float)
 
 
 def _simple_ranking(ds, episode, exact=False):
