@@ -50,26 +50,16 @@ def _mine(args: argparse.Namespace, dataset: datagen.Dataset) -> list[miner.Mine
     return mined
 
 
-def _add_mined(args: argparse.Namespace, dataset: datagen.Dataset,
-               mined: list[miner.MinedEpisodes],
-               candidates: miner.CandidateSet) -> list[miner.Candidate]:
-    """Add the mined episodes to ``candidates``, then, with
-    --merge-intersections, the order-intersection merges, which it returns."""
-    for result in mined:
-        for cand in result:
-            candidates.add(cand.eid, cand.episode, cand.support)
-    if not args.merge_intersections:
-        return []
-    return miner.merge_serial_intersections(candidates, dataset, args.min_support)
-
-
-def _load_candidates(args: argparse.Namespace, dataset: datagen.Dataset) -> miner.CandidateSet:
+def _load_candidates(args: argparse.Namespace) -> miner.CandidateSet:
+    """The episodes of the --episodes files, each kept once under its first id;
+    DataError if one id names two different episodes."""
     candidates = miner.CandidateSet()
+    named: dict[str, episodes.Episode] = {}
     for path in args.episodes:
         for eid, episode in episodes.load_episodes(path, auto_strictify=args.strictify):
+            if named.setdefault(eid, episode) != episode:
+                raise datagen.DataError(f"{path}: id {eid!r} names two different episodes")
             candidates.add(eid, episode)
-    if args.mine:
-        _add_mined(args, dataset, _mine(args, dataset), candidates)
     return candidates
 
 
@@ -109,7 +99,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
     mined = _mine(args, dataset)
     additions = []
     if args.merge_intersections:
-        additions = _add_mined(args, dataset, mined, miner.CandidateSet())
+        candidates = miner.CandidateSet()
+        for cand in itertools.chain.from_iterable(mined):
+            candidates.add(cand.eid, cand.episode, cand.support)
+        additions = miner.merge_serial_intersections(candidates, dataset, args.min_support)
     # the lines of a CandidateSet holding the serial episodes, the multisets and
     # the additions, in that order, without building the mined episodes
     lines = [result.lines(0 if result.serial else args.max_len) for result in mined]
@@ -127,10 +120,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     dataset = datagen.load_sequences(args.data)
-    candidates = _load_candidates(args, dataset)
+    candidates = _load_candidates(args)
 
-    mining = ["min_support", "max_len", "max_size"] if args.mine else []
-    header = [_echo(args, ["data", *mining, "exact", "log10", "threads"]),
+    header = [_echo(args, ["data", "exact", "log10", "threads"]),
               f"candidates={len(candidates)} sequences={dataset.num_sequences}"]
     if not args.no_timestamp:
         header.append("generated-at " + datetime.now(timezone.utc).isoformat())
@@ -211,7 +203,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     dataset = datagen.load_sequences(args.data)
-    candidates = _load_candidates(args, dataset)
+    candidates = _load_candidates(args)
     target = next((c for c in candidates if c.eid == args.id), None)
     if target is None:
         raise datagen.DataError(f"unknown episode id {args.id!r}")
@@ -272,11 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     candidate_flags.add_argument("--data", required=True)
     candidate_flags.add_argument("--strictify", action="store_true",
                         help="auto-repair non-strict episodes on load")
-    candidate_flags.add_argument("--mine", action="store_true", help="also mine candidates")
-    candidate_flags.add_argument("--min-support", type=int, default=10)
-    candidate_flags.add_argument("--max-len", type=int, default=3)
-    candidate_flags.add_argument("--max-size", type=int, default=2)
-    candidate_flags.add_argument("--merge-intersections", action="store_true")
+    candidate_flags.add_argument("--episodes", action="append", required=True,
+                        help="candidate episode JSONL (repeatable)")
     candidate_flags.add_argument("--exact", action="store_true",
                         help="exact tail instead of approximations")
     candidate_flags.add_argument("--log10", action="store_true", help="display ranks in log10")
@@ -305,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", parents=[candidate_flags],
                        help="rank candidate episodes against the corpus")
-    p.add_argument("--episodes", action="append", default=[],
-                   help="candidate episode JSONL (repeatable)")
     p.add_argument("--threads", type=int, default=os.environ.get("EPISODERANK_THREADS") or "1")
     p.add_argument("--no-timestamp", action="store_true")
     p.set_defaults(func=cmd_rank)
@@ -325,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("explain", parents=[candidate_flags],
                        help="show the machine and every partition model")
-    p.add_argument("--episodes", action="append", default=[], required=True)
     p.add_argument("--id", required=True)
     p.add_argument("--block-w", type=_int_list, default=None,
                    help="comma-separated vertex ids: show the boosted edge set for W")

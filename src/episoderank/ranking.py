@@ -288,7 +288,6 @@ class RankResult:
     rank: float  # -log survival, natural log
     method: str  # exact | normal | poisson
     explainer: str
-    zscore: float | None = None
 
 
 def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[PartitionSpec],
@@ -326,12 +325,9 @@ def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[Part
         if not poisson.all():
             log_surv[~poisson] = tail_normal(mu[~poisson], sigma2[~poisson], observed[~poisson])
     log_surv[observed <= 0] = 0.0  # P(X >= 0) = 1 identically
-    results = []
-    for m, s2, n, method, ls in zip(mu.tolist(), sigma2.tolist(), observed.tolist(),
-                                    methods.tolist(), log_surv.tolist()):
-        zscore = (n - 0.5 - m) / math.sqrt(s2) if s2 > 0 else None
-        results.append(RankResult(m, s2, n, max(0.0, -ls), method, explainer, zscore))
-    return results
+    return [RankResult(m, s2, n, max(0.0, -ls), method, explainer)
+            for m, s2, n, method, ls in zip(mu.tolist(), sigma2.tolist(), observed.tolist(),
+                                            methods.tolist(), log_surv.tolist())]
 
 
 def rank(machine: Machine, params: ModelParams, spec: PartitionSpec, dataset: Dataset,
@@ -613,8 +609,9 @@ def render_report(rows: list[EpisodeRanking], header_lines: list[str] = (),
 
 def parse_report(text: str) -> list[dict]:
     """Read back the TSV produced by :func:`render_report`; DataError if the
-    header lacks a report column or a row does not parse."""
+    header lacks a report column, a row does not parse or repeats an id."""
     rows = []
+    ids: set[str] = set()
     header: list[str] | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line or line.startswith("#"):
@@ -633,5 +630,8 @@ def parse_report(text: str) -> list[dict]:
                 row[col] = float(row[col])
         except (KeyError, ValueError) as exc:
             raise DataError(f"line {lineno}: malformed report row: {exc}") from None
+        if row["id"] in ids:
+            raise DataError(f"line {lineno}: duplicate id {row['id']!r}")
+        ids.add(row["id"])
         rows.append(row)
     return rows

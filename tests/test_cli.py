@@ -119,33 +119,35 @@ class TestRankCommand:
             assert {row["rank_ind"] for row in rows} == {0.0}
 
     def test_mined_candidates(self, workspace, tmp_path):
-        root, corpus, _ = workspace
-        out = tmp_path / "mined.tsv"
-        rc = main(["rank", "--data", str(corpus), "--mine", "--min-support", "8",
-                   "--max-len", "2", "--max-size", "2", "--threads", "1",
-                   "--no-timestamp", "--out", str(out)])
-        assert rc == 0
-        body = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
-        assert len(body) > 1
+        from episoderank.ranking import parse_report
 
-    def test_header_echoes_mining_flags_only_with_mine(self, workspace, tmp_path):
+        root, corpus, _ = workspace
+        mined, out = tmp_path / "mined.jsonl", tmp_path / "mined.tsv"
+        assert main(["mine", "--data", str(corpus), "--min-support", "8", "--max-len", "2",
+                     "--max-size", "2", "--out", str(mined)]) == 0
+        assert main(_rank_args(corpus, mined, out)) == 0
+        ids = [json.loads(line)["id"] for line in mined.read_text().splitlines()]
+        assert len(ids) > 1
+        assert sorted(row["id"] for row in parse_report(out.read_text())) == sorted(ids)
+
+    def test_header_names_no_mining_flag(self, workspace, tmp_path):
         root, corpus, eps = workspace
-        plain, mined = tmp_path / "plain.tsv", tmp_path / "mined.tsv"
+        plain = tmp_path / "plain.tsv"
         assert main(_rank_args(corpus, eps, plain)) == 0
-        assert main(_rank_args(corpus, eps, mined) + ["--mine", "--min-support", "8",
-                                                      "--max-len", "2", "--max-size", "0"]) == 0
         plain_header = plain.read_text().splitlines()[0]
         assert plain_header.startswith("# rank data=")
         assert "min-support" not in plain_header and "max-len" not in plain_header
         assert "max-size" not in plain_header
-        assert "min-support=8 max-len=2 max-size=0" in mined.read_text().splitlines()[0]
 
     def test_exact_report_does_not_depend_on_the_batch_bound(self, workspace, tmp_path,
                                                              monkeypatch):
         from episoderank import ranking
 
         root, corpus, eps = workspace
-        flags = ["--exact", "--mine", "--min-support", "8", "--max-len", "3", "--max-size", "2"]
+        mined = tmp_path / "mined.jsonl"
+        assert main(["mine", "--data", str(corpus), "--min-support", "8", "--max-len", "3",
+                     "--max-size", "2", "--out", str(mined)]) == 0
+        flags = ["--exact", "--episodes", str(mined)]
         calls = []
         tail_exact = ranking.tail_exact
         monkeypatch.setattr(ranking, "tail_exact",
@@ -393,30 +395,53 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_min_support_below_one_is_usage_error(self, workspace, tmp_path, capsys):
-        root, corpus, eps = workspace
+        root, corpus, _ = workspace
         out = tmp_path / "out"
-        rank = ["rank", "--data", str(corpus), "--episodes", str(eps), "--no-timestamp",
-                "--out", str(out), "--mine", "--min-support", "0"]
-        for argv in (["mine", "--data", str(corpus), "--min-support", "0", "--out", str(out)],
-                     rank, rank + ["--max-len", "0", "--max-size", "0"]):
-            assert main(argv) == 1
-            err = capsys.readouterr().err
-            assert "--min-support must be at least 1" in err and "Traceback" not in err
-            assert not out.exists()
+        assert main(["mine", "--data", str(corpus), "--min-support", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--min-support must be at least 1" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--max-len", "--max-size"])
-    @pytest.mark.parametrize("command", ["mine", "rank"])
+    @pytest.mark.parametrize("command", ["mine"])
     def test_negative_mining_cap_is_usage_error(self, workspace, tmp_path, capsys,
                                                 command, flag):
-        root, corpus, eps = workspace
+        root, corpus, _ = workspace
         out = tmp_path / "out"
-        argv = [command, "--data", str(corpus), "--out", str(out), flag, "-1"]
-        if command == "rank":
-            argv += ["--episodes", str(eps), "--no-timestamp", "--mine"]
-        assert main(argv) == 1
+        assert main([command, "--data", str(corpus), "--out", str(out), flag, "-1"]) == 1
         err = capsys.readouterr().err
         assert f"{flag} must be at least 0" in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--no-timestamp"],
+        ["explain", "--id", "planted4"],
+        ["rank", "--episodes", "{eps}", "--no-timestamp", "--mine"],
+    ])
+    def test_candidates_come_only_from_episode_files(self, workspace, tmp_path, capsys, argv):
+        root, corpus, eps = workspace
+        out = tmp_path / "out"
+        argv = [a.format(eps=eps) for a in argv] + ["--data", str(corpus), "--out", str(out)]
+        assert main(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_id_naming_two_episodes_is_data_error(self, workspace, tmp_path, capsys):
+        from episoderank.ranking import parse_report
+
+        root, corpus, _ = workspace
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_episodes([("x", serial("ab")), ("y", serial("cd"))], str(first))
+        save_episodes([("y", serial("cd")), ("x", serial("ef"))], str(second))
+        out = tmp_path / "out.tsv"
+        # the same episode under the same id in two files is ranked once
+        assert main(_rank_args(corpus, first, out) + ["--episodes", str(first)]) == 0
+        assert sorted(row["id"] for row in parse_report(out.read_text())) == ["x", "y"]
+        out.unlink()
+        assert main(_rank_args(corpus, first, out) + ["--episodes", str(second)]) == 2
+        err = capsys.readouterr().err
+        assert f"{second}: id 'x' names two different episodes" in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("record", [
         '{"labels": ["a", "b"], "edges": []}',  # no id
@@ -455,6 +480,16 @@ class TestExitCodes:
         other.write_text("\n".join(lines[:-1] + [lines[-1].split("\t")[0]]) + "\n")
         assert main(["compare", str(report), str(other)]) == 2
         assert "malformed report row" in capsys.readouterr().err
+
+    def test_compare_rejects_a_repeated_id(self, workspace, tmp_path, capsys):
+        root, corpus, eps = workspace
+        report = tmp_path / "report.tsv"
+        assert main(_rank_args(corpus, eps, report)) == 0
+        lines = report.read_text().splitlines()
+        report.write_text("\n".join(lines + [lines[-1]]) + "\n")
+        assert main(["compare", str(report), str(report)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(lines) + 1}: duplicate id" in err and "Traceback" not in err
 
     def test_compare_negative_top_k_is_usage_error(self, workspace, tmp_path, capsys):
         root, corpus, eps = workspace
