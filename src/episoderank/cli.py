@@ -50,17 +50,20 @@ def _mine(args: argparse.Namespace, dataset: datagen.Dataset) -> list[miner.Mine
     return mined
 
 
-def _load_candidates(args: argparse.Namespace) -> miner.CandidateSet:
-    """The episodes of the --episodes files, each kept once under its first id;
-    DataError if one id names two different episodes."""
-    candidates = miner.CandidateSet()
+def _named_episodes(paths: list[str], strictify: bool) -> dict[str, episodes.Episode]:
+    """The episodes of the files by id; DataError if one id names two episodes."""
     named: dict[str, episodes.Episode] = {}
-    for path in args.episodes:
-        for eid, episode in episodes.load_episodes(path, auto_strictify=args.strictify):
+    for path in paths:
+        for eid, episode in episodes.load_episodes(path, auto_strictify=strictify):
             if named.setdefault(eid, episode) != episode:
                 raise datagen.DataError(f"{path}: id {eid!r} names two different episodes")
-            candidates.add(eid, episode)
-    return candidates
+    return named
+
+
+def _load_candidates(args: argparse.Namespace) -> miner.CandidateSet:
+    """The episodes of the --episodes files, each kept once under its first id."""
+    named = _named_episodes(args.episodes, args.strictify)
+    return miner.CandidateSet(miner.Candidate(eid, episode) for eid, episode in named.items())
 
 
 def _int_list(text: str) -> list[int]:
@@ -99,9 +102,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     mined = _mine(args, dataset)
     additions = []
     if args.merge_intersections:
-        candidates = miner.CandidateSet()
-        for cand in itertools.chain.from_iterable(mined):
-            candidates.add(cand.eid, cand.episode, cand.support)
+        candidates = miner.CandidateSet(itertools.chain.from_iterable(mined))
         additions = miner.merge_serial_intersections(candidates, dataset, args.min_support)
     # the lines of a CandidateSet holding the serial episodes, the multisets and
     # the additions, in that order, without building the mined episodes
@@ -170,15 +171,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
              f"tau_all\t{ranking.kendall_tau(scores_a, scores_b):.6f}"]
 
     if args.episodes:
-        loaded = dict(episodes.load_episodes(args.episodes, auto_strictify=True))
-        par2 = [i for i, _ in scores_a
-                if i in loaded and loaded[i].n == 2 and not loaded[i].edges]
-        large = [i for i, _ in scores_a if i in loaded and loaded[i].n > 2]
-        for name, members in (("tau_parallel2", set(par2)), ("tau_large", set(large))):
+        loaded = _named_episodes([args.episodes], strictify=True)
+        par2 = {i for i, e in loaded.items() if e.n == 2 and not e.edges}
+        large = {i for i, e in loaded.items() if e.n > 2}
+        for name, members in (("tau_parallel2", par2), ("tau_large", large)):
             sub_a = [(i, s) for i, s in scores_a if i in members]
             sub_b = [(i, s) for i, s in scores_b if i in members]
-            tau = ranking.kendall_tau(sub_a, sub_b) if len(sub_a) >= 2 else math.nan
-            lines.append(f"{name}\t{tau:.6f}" if not math.isnan(tau) else f"{name}\tnan")
+            lines.append(f"{name}\t{ranking.kendall_tau(sub_a, sub_b):.6f}")  # nan below 2 ids
 
     score_b_map = dict(scores_b)
     pairs = []

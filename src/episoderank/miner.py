@@ -12,6 +12,7 @@ only when the result is iterated.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +31,14 @@ class Candidate:
 
 
 class CandidateSet:
-    """Deduplicated episode collection with a label-multiset index."""
+    """Deduplicated episodes, ``candidates`` added in order, with a label-multiset index."""
 
-    def __init__(self):
+    def __init__(self, candidates: Iterable[Candidate] = ()):
         self.items: list[Candidate] = []
         self._by_key: dict[tuple, int] = {}
         self._by_labels: dict[tuple, list[int]] = {}
+        for cand in candidates:
+            self.add(cand.eid, cand.episode, cand.support)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -66,33 +69,31 @@ class CandidateSet:
         return out
 
 
-# Projected events one batch of a search level expands at most, unless a single
-# node has more; bounds the temporary arrays whatever the corpus size.
+# Projected events plus count cells (F per node) one batch of a search level
+# holds at most, unless it is a single node; bounds the temporary arrays.
 BATCH_EVENTS = 1 << 17
 
 
-def _batches(node: np.ndarray, weights: np.ndarray):
-    """Ranges ``[a, b)`` of whole nodes' entries of about BATCH_EVENTS weight each."""
-    cum = np.concatenate(([0], np.cumsum(weights)))
-    starts = np.flatnonzero(np.diff(node, prepend=-1))
-    marks = np.searchsorted(cum[starts], np.arange(BATCH_EVENTS, cum[-1], BATCH_EVENTS),
-                            side="right") - 1
-    cuts = np.unique(np.concatenate(([0], starts[marks], [len(node)])))
-    return zip(cuts[:-1].tolist(), cuts[1:].tolist())
+def _batches(node: np.ndarray, weights: np.ndarray, cells: int):
+    """Ranges ``[a, b)`` of whole nodes' entries whose weights plus ``cells``
+    per node come to at most BATCH_EVENTS, or of a single node."""
+    bounds = np.append(np.flatnonzero(np.diff(node, prepend=-1)), len(node))
+    load = np.concatenate(([0], np.cumsum(weights)))[bounds] + cells * np.arange(len(bounds))
+    j = 0
+    while j < len(bounds) - 1:
+        i, j = j, max(np.searchsorted(load, load[j] + BATCH_EVENTS, side="right") - 1, j + 1)
+        yield bounds[i], bounds[j]
 
 
 def _frequent_groups(key: np.ndarray, min_support: int, members: bool):
-    """Keys held by at least ``min_support`` elements and their counts; with
-    ``members``, also those elements ordered by key, then by element index."""
-    order = np.argsort(key)
-    sorted_key = key[order]
-    heads = np.flatnonzero(np.diff(sorted_key, prepend=-1))
-    counts = np.diff(np.append(heads, len(key)))
-    keep = counts >= min_support
+    """Keys held by at least ``min_support`` elements and their counts, one count
+    cell per key value; with ``members``, also those elements by key, then index."""
+    counts = np.bincount(key)
+    kept = np.flatnonzero(counts >= min_support)
     if not members:
-        return sorted_key[heads[keep]], counts[keep], None
-    picked = np.sort(order[np.repeat(keep, counts)])
-    return sorted_key[heads[keep]], counts[keep], picked[np.argsort(key[picked], kind="stable")]
+        return kept, counts[kept], None
+    picked = np.flatnonzero(counts[key] >= min_support)
+    return kept, counts[kept], picked[np.argsort(key[picked], kind="stable")]
 
 
 def _frequent_events(dataset: Dataset, min_support: int, multisets: bool):
@@ -101,7 +102,7 @@ def _frequent_events(dataset: Dataset, min_support: int, multisets: bool):
     for multisets each sequence's events are sorted by label."""
     symbols, tokens = dataset.alphabet.symbols, dataset.tokens
     L = len(symbols)
-    seq = np.repeat(np.arange(dataset.num_sequences), np.diff(dataset.offsets))
+    seq = dataset.sequence_ids
     pairs = np.sort(seq * L + tokens)
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each (sequence, label) once
     frequent = sorted(np.flatnonzero(np.bincount(pairs % L, minlength=L) >= min_support).tolist(),
@@ -111,7 +112,7 @@ def _frequent_events(dataset: Dataset, min_support: int, multisets: bool):
     label = number[tokens]
     seq, label = seq[label >= 0], label[label >= 0]
     if multisets:
-        label = label[np.lexsort((label, seq))]
+        label = np.sort(seq * L + label) - seq * L
     return [symbols[lid] for lid in frequent], seq, label
 
 
@@ -157,7 +158,7 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
         lo, extra = run[pos] + 1, more[pos]
         size = run_ends[at] - lo + extra
         found, entries, width = [], [], 0
-        for a, b in _batches(node, size):
+        for a, b in _batches(node, size, F):
             lens, offs = size[a:b], np.cumsum(size[a:b]) - size[a:b]
             entry = np.repeat(np.arange(a, b), lens)
             event = heads[np.arange(len(entry)) + np.repeat(lo[a:b] - extra[a:b] - offs, lens)]

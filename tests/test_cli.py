@@ -491,6 +491,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {len(lines) + 1}: duplicate id" in err and "Traceback" not in err
 
+    def test_compare_strata_reject_an_id_naming_two_episodes(self, workspace, tmp_path,
+                                                             capsys):
+        root, corpus, _ = workspace
+        planted = root / "planted.jsonl"
+        report = tmp_path / "report.tsv"
+        assert main(_rank_args(corpus, planted, report)) == 0
+        lines = planted.read_text().splitlines()
+        strata = tmp_path / "strata.jsonl"
+        argv = ["compare", str(report), str(report), "--score-a", "rank_ind",
+                "--episodes", str(strata)]
+        # the same episode repeated under its id is kept once
+        strata.write_text("\n".join(lines + lines[:1]) + "\n")
+        assert main(argv) == 0
+        assert "tau_large\t1.000000" in capsys.readouterr().out
+        record = {"id": "a-b-c-d|0<1|1<2|2<3", "labels": ["e", "f"], "edges": []}
+        strata.write_text("\n".join(lines + [json.dumps(record)]) + "\n")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{strata}: id 'a-b-c-d|0<1|1<2|2<3' names two different episodes" in captured.err
+        assert "Traceback" not in captured.err and "tau_large" not in captured.out
+
     def test_compare_negative_top_k_is_usage_error(self, workspace, tmp_path, capsys):
         root, corpus, eps = workspace
         report = tmp_path / "report.tsv"

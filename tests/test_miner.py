@@ -146,6 +146,42 @@ class TestMinersAgainstOracle:
             for cap in range(5):
                 _assert_matches_oracle(ds, min_support, cap)
 
+    def test_batches_bound_count_cells(self, monkeypatch):
+        # with about 40 frequent labels, a few nodes' count cells outweigh
+        # their projected events, so the cells alone cut some levels
+        monkeypatch.setattr(miner, "BATCH_EVENTS", 256)
+        batches, groups = miner._batches, miner._frequent_groups
+        cuts, spans = [], []
+
+        def recorded_batches(node, weights, cells):
+            level = []
+            cuts.append((int(weights.sum()), cells, level))
+            for a, b in batches(node, weights, cells):
+                level.append(len(np.unique(node[a:b])))
+                yield a, b
+
+        def recorded_groups(key, min_support, members):
+            spans.append(int(key.max()) + 1 if len(key) else 0)
+            return groups(key, min_support, members)
+
+        monkeypatch.setattr(miner, "_batches", recorded_batches)
+        monkeypatch.setattr(miner, "_frequent_groups", recorded_groups)
+        rng = np.random.default_rng(7)
+        symbols = [chr(ord("A") + i) for i in range(40)]
+        for _ in range(3):
+            rows = ["".join(rng.choice(symbols, size=int(rng.integers(3, 9))))
+                    for _ in range(40)]
+            ds = dataset_from_strings(rows)
+            for min_support in (2, 3):
+                _assert_matches_oracle(ds, min_support, 3)
+        nodes = [(n, cells) for _, cells, level in cuts for n in level]
+        assert len(nodes) == len(spans)
+        for (n, cells), span in zip(nodes, spans):
+            assert span <= n * cells
+            assert n == 1 or n * cells <= miner.BATCH_EVENTS
+        assert any(cells >= 30 and events <= miner.BATCH_EVENTS and len(level) > 1
+                   for events, cells, level in cuts)
+
     @pytest.mark.parametrize("rows", [[], [""], ["", "", ""], ["", "ba", ""]])
     def test_empty_corpora_and_rows(self, rows):
         ds = dataset_from_strings(rows)
