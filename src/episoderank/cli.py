@@ -60,9 +60,8 @@ def _named_episodes(paths: list[str], strictify: bool) -> dict[str, episodes.Epi
     return named
 
 
-def _load_candidates(args: argparse.Namespace) -> miner.CandidateSet:
-    """The episodes of the --episodes files, each kept once under its first id."""
-    named = _named_episodes(args.episodes, args.strictify)
+def _candidate_set(named: dict[str, episodes.Episode]) -> miner.CandidateSet:
+    """The named episodes, each kept once under its first id."""
     return miner.CandidateSet(miner.Candidate(eid, episode) for eid, episode in named.items())
 
 
@@ -84,6 +83,11 @@ def _write(text: str, out: str | None) -> None:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    for flag, value in (("--seed", args.seed), ("--num-sequences", args.num_sequences)):
+        if value is not None and value < 0:
+            raise UsageError(f"{flag} must be at least 0, got {value}")
+    if not 0.0 <= args.gap_p < 1.0:
+        raise UsageError(f"--gap-p must lie in [0, 1), got {args.gap_p}")
     config = datagen.default_config(args.kind, args.seed, num_sequences=args.num_sequences,
                                     counts=args.plant_counts, gap_p=args.gap_p)
     dataset = datagen.generate(config)
@@ -121,7 +125,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     dataset = datagen.load_sequences(args.data)
-    candidates = _load_candidates(args)
+    candidates = _candidate_set(_named_episodes(args.episodes, args.strictify))
 
     header = [_echo(args, ["data", "exact", "log10", "threads"]),
               f"candidates={len(candidates)} sequences={dataset.num_sequences}"]
@@ -202,42 +206,23 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     dataset = datagen.load_sequences(args.data)
-    candidates = _load_candidates(args)
-    target = next((c for c in candidates if c.eid == args.id), None)
-    if target is None:
+    named = _named_episodes(args.episodes, args.strictify)
+    if args.id not in named:
         raise datagen.DataError(f"unknown episode id {args.id!r}")
-
-    mach = machine_mod.build_machine(target.episode)
-    lines = [f"episode {target.eid}: {episodes.describe(target.episode)}",
-             machine_mod.render_machine(mach)]
-    masks = mach.states
-    rendered = ", ".join(episodes.vertex_set_label(target.episode, m) for m in masks)
-    lines.append(f"prefix graphs ({len(masks)}): {rendered}")
-
-    if args.block_w is not None:
-        outside = [v for v in args.block_w if not 0 <= v < target.episode.n]
-        if outside:
-            raise UsageError(f"--block-w vertex ids must lie in [0, {target.episode.n}), "
-                             f"got {outside}")
-        w_mask = 0
-        for v in args.block_w:
-            w_mask |= 1 << v
-        if w_mask not in masks and not args.allow_non_prefix:
-            raise datagen.DataError(
-                "--block-w is not a prefix graph (pass --allow-non-prefix to force)")
-        edge_set = machine_mod.block_prefix(mach, w_mask)
-        lines.append(machine_mod.render_machine(mach, {"block_w": edge_set}).splitlines()[-1])
-
-    result = ranking.rank_episode(target.eid, target.episode, dataset, candidates,
+    episode = named[args.id]  # every id of the files, not only each episode's first
+    lines = [f"episode {args.id}: {episodes.describe(episode)}",
+             machine_mod.render_machine(machine_mod.build_machine(episode))]
+    result = ranking.rank_episode(args.id, episode, dataset, _candidate_set(named),
                                   exact=args.exact, keep_evaluations=True)
     scale = math.log(10.0) if args.log10 else 1.0
     for ev in result.evaluations:
         r = ev.result
         weights = ",".join(f"{lab}:{w:.4g}" for lab, w in
                            zip(ev.params.collapsed.classes, ev.params.u))
+        c1, c2 = (",".join(map(str, sorted(s))) or "-" for s in (ev.spec.c1, ev.spec.c2))
         lines.append(f"model {ev.explainer}: mu={r.mu:.6g} rank={r.rank / scale:.6g} "
                      f"method={r.method} u={{{weights}}} t1={ev.params.t1:.4g} "
-                     f"t2={ev.params.t2:.4g}")
+                     f"t2={ev.params.t2:.4g} c1={c1} c2={c2}")
     lines.append(f"support {result.support}")
     lines.append(f"winner {result.part.explainer}: rank_part={result.part.rank / scale:.6g} "
                  f"rank_ind={result.ind.rank / scale:.6g}")
@@ -312,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explain", parents=[candidate_flags],
                        help="show the machine and every partition model")
     p.add_argument("--id", required=True)
-    p.add_argument("--block-w", type=_int_list, default=None,
-                   help="comma-separated vertex ids: show the boosted edge set for W")
-    p.add_argument("--allow-non-prefix", action="store_true",
-                   help="expert: allow --block-w sets that are not prefix graphs")
     p.add_argument("--dump-model", action="store_true")
     p.set_defaults(func=cmd_explain)
     return parser

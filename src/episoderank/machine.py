@@ -143,16 +143,12 @@ def block_super(machine: Machine, stricter: Episode) -> frozenset[int]:
 
 # --- textual rendering ---------------------------------------------------------
 
-def render_machine(machine: Machine, highlights: dict[str, frozenset[int]] | None = None) -> str:
-    """Deterministic multi-line description of states, edges and edge sets."""
+def render_machine(machine: Machine) -> str:
+    """Deterministic multi-line description of states and edges."""
     lines = [f"machine: {machine.num_states} states, {len(machine.edges)} edges"]
     for i in range(machine.num_states):
         tag = " (source)" if i == machine.source else (" (sink)" if i == machine.sink else "")
         lines.append(f"  state {i} {vertex_set_label(machine.episode, machine.states[i])}{tag}")
     for idx, e in enumerate(machine.edges):
         lines.append(f"  edge {idx}: {e.src} -{e.label}-> {e.dst}")
-    for name in sorted(highlights or {}):
-        pairs = sorted((machine.edges[i].src, machine.edges[i].dst) for i in highlights[name])
-        rendered = ", ".join(f"({u},{v})" for u, v in pairs) or "-"
-        lines.append(f"  {name}: {rendered}")
     return "\n".join(lines)

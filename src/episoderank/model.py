@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .datagen import Alphabet, Dataset
+from .datagen import Dataset
 
 if TYPE_CHECKING:
     from .machine import Machine
@@ -63,7 +63,7 @@ class CollapsedAlphabet:
         return self._by_symbol.get(symbol, self.star)
 
 
-def collapse_alphabet(alphabet: Alphabet, episode) -> CollapsedAlphabet:
+def collapse_alphabet(episode) -> CollapsedAlphabet:
     """Each distinct episode label keeps its own class; the rest share one."""
     distinct = sorted(set(episode.labels))
     by_symbol = {lab: i for i, lab in enumerate(distinct)}
@@ -253,14 +253,14 @@ def collect_statistics(machine: Machine, dataset: Dataset,
     The walk of a union of one; see :func:`walk`.
     """
     if collapsed is None:
-        collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
+        collapsed = collapse_alphabet(machine.episode)
     supports, stats = walk(MachineUnion([machine]), dataset, [collapsed], [True])
     return stats[0], supports[0]
 
 
 def support(machine: Machine, dataset: Dataset) -> int:
     """Number of dataset sequences whose greedy walk reaches the sink."""
-    collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
+    collapsed = collapse_alphabet(machine.episode)
     return walk(MachineUnion([machine]), dataset, [collapsed])[0][0]
 
 

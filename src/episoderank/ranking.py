@@ -419,7 +419,7 @@ def _rank_batch(episodes: list[tuple[str, Episode]], dataset: Dataset,
         machines.append(machine)
         models.append(_partition_models(machine, candidates))
     union = MachineUnion(machines)
-    collapsed = [collapse_alphabet(dataset.alphabet, m.episode) for m in machines]
+    collapsed = [collapse_alphabet(m.episode) for m in machines]
     supports, stats = walk(union, dataset, collapsed,
                            [any(not spec.is_empty for _, spec in ms) for ms in models])
 

@@ -169,7 +169,7 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
     class in bulk. Counts are exact integers, so the walker must match exactly.
     """
     if collapsed is None:
-        collapsed = collapse_alphabet(dataset.alphabet, machine.episode)
+        collapsed = collapse_alphabet(machine.episode)
     S, K, star = machine.num_states, collapsed.size, collapsed.star
     table: list[dict[int, int]] = [{} for _ in range(S)]
     for e in machine.edges:

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from episoderank.datagen import (
-    Alphabet,
     GeneratorConfig,
     PlantSpec,
     default_config,
@@ -155,12 +154,11 @@ def test_criterion_3_coverage_oracle_equivalence():
 
 def test_criterion_4_reach_probability_oracle():
     rng = np.random.default_rng(100)
-    alpha = Alphabet("abc")
     worst = 0.0
     for _ in range(20):
         ep = random_strict_episode(rng, "ab", 4)
         m = build_machine(ep)
-        col = collapse_alphabet(alpha, ep)
+        col = collapse_alphabet(ep)
         u = rng.normal(size=col.size)
         u[col.star] = 0.0
         from episoderank.model import ModelParams
@@ -185,7 +183,7 @@ def test_criterion_5_gradient_and_concavity():
     for _ in range(10):
         ep = random_strict_episode(rng, "ab", 4)
         m = build_machine(ep)
-        col = collapse_alphabet(Alphabet("abc"), ep)
+        col = collapse_alphabet(ep)
         n = rng.integers(0, 30, size=(m.num_states, col.size)).astype(float)
         stats = StateStats(col, n.sum(axis=1), n)
         edges = list(range(len(m.edges)))

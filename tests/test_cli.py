@@ -6,7 +6,8 @@ import pytest
 
 from episoderank.cli import main
 from episoderank.datagen import load_sequences
-from episoderank.episodes import save_episodes, serial, parallel
+from episoderank.episodes import load_episodes, save_episodes, serial, parallel, vertex_set_label
+from episoderank.machine import block_prefix, build_machine
 from episoderank.miner import CandidateSet, merge_serial_intersections
 
 from oracles import dfs_mine_parallel, dfs_mine_serial, reduction_by_search
@@ -337,20 +338,68 @@ class TestExplainCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1] == "{}"
 
-    def test_block_w_rendering(self, workspace, capsys):
-        root, corpus, eps = workspace
-        rc = main(["explain", "--data", str(corpus), "--episodes", str(eps),
-                   "--id", "planted4", "--block-w", "0,1"])
-        assert rc == 0
-        assert "block_w" in capsys.readouterr().out
+    def test_model_lines_carry_boosted_edge_sets(self, workspace, capsys):
+        # the diamond: each prefix model boosts C1 = block_prefix(W) and
+        # C2 = block_prefix(full ^ W), printed as the machine's edge numbers
+        root, corpus, _ = workspace
+        diamond = "k-l-m-n|0<2|0<3|2<1|3<1"
+        assert main(["explain", "--data", str(corpus), "--episodes",
+                     str(root / "planted.jsonl"), "--id", diamond]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        edge_sets = {}
+        for line in lines:
+            if line.startswith("model "):
+                explainer, fields = line[len("model "):].split(": ", 1)
+                c1, c2 = fields.split()[-2:]
+                edge_sets[explainer] = (c1, c2)
 
-    def test_non_prefix_w_needs_expert_flag(self, workspace, capsys):
+        ep = dict(load_episodes(str(root / "planted.jsonl")))[diamond]
+        m = build_machine(ep)
+        full = (1 << ep.n) - 1
+
+        def numbers(edge_set):
+            return ",".join(str(i) for i in sorted(edge_set)) or "-"
+
+        expected = {"independence": ("c1=-", "c2=-")}
+        for w in m.states[1:-1]:
+            expected[f"prefix:{vertex_set_label(ep, w)}"] = (
+                f"c1={numbers(block_prefix(m, w))}", f"c2={numbers(block_prefix(m, full ^ w))}")
+        assert edge_sets == expected
+        assert edge_sets["prefix:{k}"] == ("c1=-", "c2=3,4,5")
+        assert not any(line.startswith("prefix graphs") for line in lines)
+
+    @pytest.mark.parametrize("eid", ["a-b-c-d|0<1|1<2|2<3", "k-l-m-n|0<2|0<3|2<1|3<1"])
+    def test_winner_is_the_rank_explainer(self, workspace, tmp_path, capsys, eid):
         root, corpus, eps = workspace
-        args = ["explain", "--data", str(corpus), "--episodes", str(eps),
-                "--id", "planted4", "--block-w", "0,2"]
-        assert main(args) == 2
-        capsys.readouterr()
-        assert main(args + ["--allow-non-prefix"]) == 0
+        files = ["--episodes", str(root / "planted.jsonl"), "--episodes", str(eps)]
+        report = tmp_path / "report.tsv"
+        assert main(["rank", "--data", str(corpus), *files, "--no-timestamp",
+                     "--out", str(report)]) == 0
+        row = next(l.split("\t") for l in report.read_text().splitlines()
+                   if l.startswith(eid + "\t"))
+        assert main(["explain", "--data", str(corpus), *files, "--id", eid]) == 0
+        winner = next(l for l in capsys.readouterr().out.splitlines()
+                      if l.startswith("winner "))
+        assert winner[len("winner "):].rsplit(": rank_part=", 1)[0] == row[7]
+
+    def test_repeated_episode_answers_to_every_id(self, workspace, tmp_path, capsys):
+        root, corpus, _ = workspace
+        twice = tmp_path / "twice.jsonl"
+        save_episodes([("x", serial("ab")), ("y", serial("ab"))], str(twice))
+        outputs = {}
+        for eid in ("x", "y"):
+            assert main(["explain", "--data", str(corpus), "--episodes", str(twice),
+                         "--id", eid]) == 0
+            outputs[eid] = capsys.readouterr().out.splitlines()
+        assert outputs["y"][0] == "episode y: a-b|0<1"
+        assert outputs["y"][1:] == outputs["x"][1:]
+
+    def test_removed_flags_are_unrecognized(self, workspace, capsys):
+        root, corpus, eps = workspace
+        args = ["explain", "--data", str(corpus), "--episodes", str(eps), "--id", "planted4"]
+        for flag in (["--block-w", "0,1"], ["--allow-non-prefix"]):
+            assert main(args + flag) == 1
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_id(self, workspace, capsys):
         root, corpus, eps = workspace
@@ -387,12 +436,17 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "corpus.txt").exists()
 
-    def test_malformed_block_w_is_usage_error(self, workspace, capsys):
-        root, corpus, eps = workspace
-        rc = main(["explain", "--data", str(corpus), "--episodes", str(eps),
-                   "--id", "planted4", "--block-w", "x"])
-        assert rc == 1
-        assert "Traceback" not in capsys.readouterr().err
+    @pytest.mark.parametrize("flags,message", [
+        (["--seed", "-1"], "--seed must be at least 0"),
+        (["--num-sequences", "-5", "--plant-counts", "0,0,0"], "--num-sequences must be at least 0"),
+        (["--gap-p", "1.5"], "--gap-p must lie in [0, 1)"),
+    ], ids=["seed", "num-sequences", "gap-p"])
+    def test_generate_flag_out_of_range_is_usage_error(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "corpus.txt"
+        assert main(["generate", "--kind", "plant", "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_min_support_below_one_is_usage_error(self, workspace, tmp_path, capsys):
         root, corpus, _ = workspace
@@ -518,15 +572,6 @@ class TestExitCodes:
         assert main(_rank_args(corpus, eps, report)) == 0
         assert main(["compare", str(report), str(report), "--top-k", "-2"]) == 1
         assert "--top-k must be at least 0" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("block_w", ["-1", "0,4", "7"])
-    def test_block_w_outside_the_episode_is_usage_error(self, workspace, capsys, block_w):
-        root, corpus, eps = workspace
-        rc = main(["explain", "--data", str(corpus), "--episodes", str(eps),
-                   "--id", "planted4", "--block-w", block_w, "--allow-non-prefix"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert "--block-w vertex ids must lie in [0, 4)" in err and "Traceback" not in err
 
     def test_malformed_threads_environment_is_usage_error(self, workspace, tmp_path,
                                                           monkeypatch, capsys):

@@ -254,13 +254,12 @@ class TestBlockSuper:
 class TestRender:
     def test_byte_stable(self):
         m = build_machine(make_episode(["a", "b"], [(0, 1)]))
-        text = render_machine(m, {"C1": frozenset([1])})
+        text = render_machine(m)
         assert text == (
             "machine: 3 states, 2 edges\n"
             "  state 0 {} (source)\n"
             "  state 1 {a}\n"
             "  state 2 {a,b} (sink)\n"
             "  edge 0: 0 -a-> 1\n"
-            "  edge 1: 1 -b-> 2\n"
-            "  C1: (1,2)"
+            "  edge 1: 1 -b-> 2"
         )

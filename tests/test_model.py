@@ -53,11 +53,11 @@ def diamond():
     return make_episode(["a", "b", "c", "d"], [(0, 1), (0, 2), (1, 3), (2, 3)])
 
 
-def random_instance(rng, alphabet_symbols="abc", max_vertices=4):
+def random_instance(rng, max_vertices=4):
     """Random (machine, spec, stats) triple with synthetic counts."""
     ep = random_strict_episode(rng, "ab", max_vertices)
     m = build_machine(ep)
-    col = collapse_alphabet(Alphabet(alphabet_symbols), ep)
+    col = collapse_alphabet(ep)
     edges = list(range(len(m.edges)))
     rng.shuffle(edges)
     half = len(edges) // 2
@@ -76,20 +76,19 @@ def random_params(rng, col, t_scale=1.0):
 
 class TestCollapse:
     def test_maps_absent_symbols_to_star(self):
-        alpha = Alphabet("abcde")
-        col = collapse_alphabet(alpha, serial("ab"))
+        col = collapse_alphabet(serial("ab"))
         assert col.classes == ("a", "b", "*")
         assert [col.class_of(s) for s in "abcde"] == [0, 1, 2, 2, 2]
 
     def test_full_alphabet_keeps_identity_plus_unused_star(self):
         alpha = Alphabet("ab")
-        col = collapse_alphabet(alpha, serial("ab"))
+        col = collapse_alphabet(serial("ab"))
         assert col.classes == ("a", "b", "*")
         assert [col.class_of(s) for s in alpha.symbols] == [0, 1]
 
     def test_parameter_dimension_bound(self):
         ep = diamond()
-        col = collapse_alphabet(Alphabet([f"x{i}" for i in range(100)]), ep)
+        col = collapse_alphabet(ep)
         assert col.size + 2 <= ep.n + 3
 
 
@@ -155,7 +154,7 @@ class TestLockstepWalker:
         for ds in self.datasets(rng):
             for ep in episodes:
                 m = build_machine(ep)
-                for col in (collapse_alphabet(ds.alphabet, ep), identity_collapse(ds.alphabet)):
+                for col in (collapse_alphabet(ep), identity_collapse(ds.alphabet)):
                     stats, covered = collect_statistics(m, ds, col)
                     want, want_covered = sequential_statistics(m, ds, col)
                     assert np.array_equal(stats.n, want.n), (ep, symbol_rows(ds))
@@ -192,7 +191,7 @@ class TestUnionWalk:
         for ds in TestLockstepWalker.datasets(rng):
             episodes = self.members(rng)
             machines = [build_machine(ep) for ep in episodes]
-            cols = [collapse_alphabet(ds.alphabet, ep) for ep in episodes]
+            cols = [collapse_alphabet(ep) for ep in episodes]
             wanted = rng.random(len(episodes)) < 0.5
             supports, stats = walk(MachineUnion(machines), ds, cols, wanted)
             for m, col, want_stats, got_support, got in zip(machines, cols, wanted,
@@ -210,7 +209,7 @@ class TestUnionWalk:
         ds = generate(default_config("plant", seed=4, num_sequences=300, counts=(30, 10, 6)))
         episodes = plant_patterns() + self.members(rng)
         machines = [build_machine(ep) for ep in episodes]
-        cols = [collapse_alphabet(ds.alphabet, ep) for ep in episodes]
+        cols = [collapse_alphabet(ep) for ep in episodes]
         supports, stats = walk(MachineUnion(machines), ds, cols)
         assert stats == [None] * len(episodes)
         assert supports == [sequential_statistics(m, ds)[1] for m in machines]
@@ -230,7 +229,7 @@ class TestIndependenceFromLabelCounts:
         for ds in corpora:
             labels = sorted(ds.alphabet.symbols)[:6] + ["absent"]
             episodes = [random_strict_episode(rng, labels, 4) for _ in range(15)]
-            cols = [collapse_alphabet(ds.alphabet, ep) for ep in episodes]
+            cols = [collapse_alphabet(ep) for ep in episodes]
             batch = fit_independence(ds, cols)
             for ep, col, got in zip(episodes, cols, batch):
                 m = build_machine(ep)
@@ -246,7 +245,7 @@ class TestIndependenceFromLabelCounts:
     def test_zero_events_cannot_be_fitted(self):
         ds = dataset_from_strings(["", ""])
         with pytest.raises(NumericalFitError):
-            fit_independence(ds, [collapse_alphabet(ds.alphabet, serial("ab"))])
+            fit_independence(ds, [collapse_alphabet(serial("ab"))])
 
 
 class TestConditionalProb:
@@ -301,7 +300,7 @@ class TestLikelihood:
         ds = dataset_from_strings(rows)
         ep = make_episode(["a", "b", "c"], [(0, 1)])
         m = build_machine(ep)
-        col = collapse_alphabet(ds.alphabet, ep)
+        col = collapse_alphabet(ep)
         stats = collect_statistics(m, ds, col)[0]
         spec = PartitionSpec(frozenset([0]), frozenset([1]))
         params = random_params(rng, col)
@@ -339,7 +338,7 @@ class TestGradientHessian:
         ds = dataset_from_strings(["ab", "ba", "aab", "bb"])
         ep = serial("ab")
         m = build_machine(ep)
-        col = collapse_alphabet(ds.alphabet, ep)
+        col = collapse_alphabet(ep)
         stats = collect_statistics(m, ds, col)[0]
         totals = stats.n.sum(axis=0)
         u = np.full(col.size, -25.0)
@@ -559,7 +558,7 @@ class TestReachStep:
         for _ in range(20):
             ep = random_strict_episode(rng, "abcdefghij", 12)
             m = build_machine(ep)
-            col = collapse_alphabet(Alphabet("abcdefghijxyz"), ep)
+            col = collapse_alphabet(ep)
             params = random_params(rng, col, t_scale=3.0)
             log_p = model.log_conditionals(params.u, 0.0, 0.0,
                                            m.boost_masks(EMPTY_SPEC, col))
@@ -598,11 +597,10 @@ class TestReach:
 
     def test_exhaustive_class_enumeration(self):
         rng = np.random.default_rng(3)
-        alpha = Alphabet("abc")
         for _ in range(8):
             ep = random_strict_episode(rng, "ab", 4)
             m = build_machine(ep)
-            col = collapse_alphabet(alpha, ep)
+            col = collapse_alphabet(ep)
             params = random_params(rng, col)
             edges = list(range(len(m.edges)))
             rng.shuffle(edges)
@@ -656,7 +654,7 @@ class TestCollapseEquivalence:
         ep = serial("ab")
         m = build_machine(ep)
 
-        for collapsed in (collapse_alphabet(ds.alphabet, ep), identity_collapse(ds.alphabet)):
+        for collapsed in (collapse_alphabet(ep), identity_collapse(ds.alphabet)):
             stats, observed = collect_statistics(m, ds, collapsed)
             spec = PartitionSpec(frozenset([1]), frozenset())  # boost b after a
             results = []
