@@ -4,7 +4,6 @@ partition models built on a prefix-graph automaton."""
 from .datagen import Alphabet, Dataset, GeneratorConfig, generate, load_sequences, save_dataset
 from .episodes import (
     Episode,
-    induced,
     is_proper_superepisode_same_vertices,
     is_strict,
     load_episodes,

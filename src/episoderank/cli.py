@@ -14,6 +14,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from . import datagen, episodes, machine as machine_mod, miner, model, ranking
@@ -42,12 +43,29 @@ def _mine(args: argparse.Namespace, dataset: datagen.Dataset) -> list[miner.Mine
     for flag, cap in (("--max-len", args.max_len), ("--max-size", args.max_size)):
         if cap < 0:
             raise UsageError(f"{flag} must be at least 0 (0 disables it), got {cap}")
+    if args.max_len >= 1 and args.max_size >= 1 and _usable_cpus() > 1:
+        # the searches only read the dataset and spend their time in NumPy
+        # calls that release the GIL, so with a second CPU the multisets run
+        # on a second thread; on one CPU that only adds switching
+        dataset.sequence_ids  # build the cache both searches read once, first
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            multisets = pool.submit(miner.mine_parallel, dataset, args.min_support,
+                                    args.max_size)
+            return [miner.mine_serial(dataset, args.min_support, args.max_len),
+                    multisets.result()]
     mined = []
     if args.max_len >= 1:
         mined.append(miner.mine_serial(dataset, args.min_support, args.max_len))
     if args.max_size >= 1:
         mined.append(miner.mine_parallel(dataset, args.min_support, args.max_size))
     return mined
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _named_episodes(paths: list[str], strictify: bool) -> dict[str, episodes.Episode]:
@@ -88,6 +106,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise UsageError(f"{flag} must be at least 0, got {value}")
     if not 0.0 <= args.gap_p < 1.0:
         raise UsageError(f"--gap-p must lie in [0, 1), got {args.gap_p}")
+    if args.gap_p and args.kind != "gap":
+        raise UsageError(f"--gap-p applies only to --kind gap, got --kind {args.kind}")
+    if args.plant_counts is not None:
+        wanted = len(datagen.KINDS[args.kind][1])  # one default count per pattern
+        if len(args.plant_counts) != wanted:
+            raise UsageError(f"--plant-counts takes {wanted} counts for --kind {args.kind}, "
+                             f"got {len(args.plant_counts)}")
+        if min(args.plant_counts) < 0:
+            raise UsageError(f"--plant-counts must be at least 0, got {min(args.plant_counts)}")
     config = datagen.default_config(args.kind, args.seed, num_sequences=args.num_sequences,
                                     counts=args.plant_counts, gap_p=args.gap_p)
     dataset = datagen.generate(config)
@@ -256,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     candidate_flags.add_argument("--out", default=None)
 
     p = sub.add_parser("generate", help="write a seeded synthetic corpus")
-    p.add_argument("--kind", choices=("plant", "plant2", "gap"), required=True)
+    p.add_argument("--kind", choices=tuple(datagen.KINDS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--num-sequences", type=int, default=None)

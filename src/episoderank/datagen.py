@@ -157,11 +157,6 @@ def save_dataset(dataset: Dataset, path: str) -> None:
         fh.writelines(" ".join(words[a:b]) + "\n" for a, b in zip(bounds, bounds[1:]))
 
 
-def dataset_from_strings(rows: Iterable[str]) -> Dataset:
-    """Convenience constructor: each character of each string is one event."""
-    return Dataset.from_rows(rows)
-
-
 # --- synthetic generators ----------------------------------------------------
 
 @dataclass
@@ -220,6 +215,15 @@ def gap_pattern() -> Episode:
     return serial(["a", "b", "c", "d"])
 
 
+# Per synthetic corpus kind: its patterns, their default counts (one per
+# pattern) and the size of its noise alphabet.
+KINDS = {
+    "plant": (plant_patterns, DEFAULT_PLANT_COUNTS, 990),
+    "plant2": (plant2_patterns, DEFAULT_PLANT2_COUNTS, 994),
+    "gap": (lambda: [gap_pattern()], (DEFAULT_GAP_COUNT,), 996),
+}
+
+
 def default_config(kind: str, seed: int, num_sequences: int | None = None,
                    counts: Sequence[int] | None = None,
                    gap_p: float = 0.0) -> GeneratorConfig:
@@ -228,14 +232,10 @@ def default_config(kind: str, seed: int, num_sequences: int | None = None,
     Alphabet sizes keep noise symbols disjoint from planted labels, with a
     total alphabet of 1000 symbols in every kind.
     """
-    if kind == "plant":
-        patterns, def_counts, noise = plant_patterns(), DEFAULT_PLANT_COUNTS, 990
-    elif kind == "plant2":
-        patterns, def_counts, noise = plant2_patterns(), DEFAULT_PLANT2_COUNTS, 994
-    elif kind == "gap":
-        patterns, def_counts, noise = [gap_pattern()], (DEFAULT_GAP_COUNT,), 996
-    else:
+    if kind not in KINDS:
         raise DataError(f"unknown generator kind {kind!r}")
+    make_patterns, def_counts, noise = KINDS[kind]
+    patterns = make_patterns()
     counts = tuple(counts) if counts is not None else def_counts
     if len(counts) != len(patterns):
         raise DataError(f"{kind} takes {len(patterns)} plant counts, got {len(counts)}")

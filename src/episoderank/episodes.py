@@ -192,17 +192,6 @@ def strictify(episode: Episode) -> Episode:
     return make_episode(episode.labels, episode.edges | chains)
 
 
-def induced(episode: Episode, vertices: Iterable[int]) -> Episode:
-    """Sub-episode on the given vertex ids with all edges among them."""
-    keep = sorted(set(vertices))
-    if any(v < 0 or v >= episode.n for v in keep):
-        raise EpisodeError(f"vertex ids {keep} invalid for episode of size {episode.n}")
-    pos = {v: i for i, v in enumerate(keep)}
-    labels = tuple(episode.labels[v] for v in keep)
-    edges = frozenset((pos[u], pos[v]) for u, v in episode.edges if u in pos and v in pos)
-    return Episode(labels, edges)  # closed subgraph of a closed DAG stays closed/canonical
-
-
 def prefix_graphs(episode: Episode) -> list[int]:
     """All ancestor-closed vertex sets as bitmasks, ordered by (size, mask).
 

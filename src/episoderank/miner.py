@@ -96,32 +96,40 @@ def _frequent_groups(key: np.ndarray, min_support: int, members: bool):
     return kept, counts[kept], picked[np.argsort(key[picked], kind="stable")]
 
 
+def _index_dtype(count: int) -> type:
+    """The integer type of a search's corpus-sized index arrays, whose event
+    positions and sequence numbers lie below ``count``: int32 below 2^31."""
+    return np.int32 if count < 1 << 31 else np.int64
+
+
 def _frequent_events(dataset: Dataset, min_support: int, multisets: bool):
     """The symbols of the labels in at least ``min_support`` sequences, in
-    symbol order, and the sequence and label number of each of their events;
-    for multisets each sequence's events are sorted by label."""
+    symbol order, and the sequence and label number of each of their events
+    (as ``_index_dtype``); for multisets each sequence's events are sorted by
+    label."""
     symbols, tokens = dataset.alphabet.symbols, dataset.tokens
     L = len(symbols)
+    index = _index_dtype(max(dataset.total_events, dataset.num_sequences))
     seq = dataset.sequence_ids
     pairs = np.sort(seq * L + tokens)
     pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each (sequence, label) once
     frequent = sorted(np.flatnonzero(np.bincount(pairs % L, minlength=L) >= min_support).tolist(),
                       key=symbols.__getitem__)
-    number = np.full(L, -1)
+    number = np.full(L, -1, dtype=index)
     number[frequent] = np.arange(len(frequent))
     label = number[tokens]
-    seq, label = seq[label >= 0], label[label >= 0]
+    seq, label = seq[label >= 0], label[label >= 0]  # seq int64 while keys use it
     if multisets:
-        label = np.sort(seq * L + label) - seq * L
-    return [symbols[lid] for lid in frequent], seq, label
+        label = (np.sort(seq * L + label) - seq * L).astype(index)
+    return [symbols[lid] for lid in frequent], seq.astype(index), label
 
 
-def _links(key: np.ndarray):
-    """Each element's nearest earlier element of the same key (-1 if none),
-    and whether it starts a run of equal keys."""
+def _links(key: np.ndarray, index: type):
+    """Each element's nearest earlier element of the same key (-1 if none), as
+    ``index``, and whether it starts a run of equal keys."""
     by_key = np.argsort(key, kind="stable")
     again = np.diff(key[by_key]) == 0
-    prev = np.full(len(key), -1)
+    prev = np.full(len(key), -1, dtype=index)
     prev[by_key[1:][again]] = by_key[:-1][again]
     return prev, np.diff(key, prepend=-1) != 0
 
@@ -143,12 +151,12 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
     Returns the labels' symbols and ``(parent, label, support)`` per level.
     """
     symbols, seq, label = _frequent_events(dataset, min_support, multisets)
-    F = len(symbols)
-    prev, head = _links(seq * F + label)  # per (sequence, label)
-    heads, run = np.flatnonzero(head), np.cumsum(head, dtype=np.int32) - 1
+    F, index = len(symbols), seq.dtype.type
+    prev, head = _links(seq.astype(np.int64) * F + label, index)  # per (sequence, label)
+    heads, run = np.flatnonzero(head).astype(index), np.cumsum(head, dtype=index) - 1
     more = np.append(~head[1:], False)  # the next event continues this run
-    run_ends = np.searchsorted(seq[heads], np.arange(1, dataset.num_sequences + 1))
-    pos = np.flatnonzero(prev < 0)
+    run_ends = np.searchsorted(seq[heads], np.arange(1, dataset.num_sequences + 1)).astype(index)
+    pos = np.flatnonzero(prev < 0).astype(index)
     pos = pos[np.argsort(label[pos], kind="stable")]
 
     node, at = label[pos], seq[pos]
@@ -165,11 +173,11 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
             event[offs[extra[a:b]]] = pos[a:b][extra[a:b]] + 1
             first = prev[event] <= np.repeat(pos[a:b], lens)  # first of its label after the match
             entry, event = entry[first], event[first]
-            key = (node[entry] - node[a]) * F + label[event]
+            key = (node[entry] - node[a]).astype(np.int64) * F + label[event]
             kept, counts, members = _frequent_groups(key, min_support, grow)
             found.append((kept // F + node[a], kept % F, counts))
             if grow:
-                entries.append((width + np.repeat(np.arange(len(kept)), counts),
+                entries.append((width + np.repeat(np.arange(len(kept), dtype=index), counts),
                                 at[entry[members]], event[members]))
             width += len(kept)
         if not width:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 
 import numpy as np
 import pytest
 
-from episoderank.datagen import Dataset, dataset_from_strings
+from episoderank.datagen import Dataset
 from episoderank.episodes import CycleError, Episode, is_strict, make_episode, strictify
 
 
@@ -38,6 +39,11 @@ def enumerate_strict_episodes(max_vertices: int, alphabet: str = "ab") -> list[E
                     continue
                 seen.setdefault((episode.labels, episode.edges), episode)
     return sorted(seen.values(), key=lambda e: (e.n, e.labels, sorted(e.edges)))
+
+
+def dataset_from_strings(rows: Iterable[str]) -> Dataset:
+    """Each character of each string is one event."""
+    return Dataset.from_rows(rows)
 
 
 def all_sequences(alphabet: str, max_len: int) -> list[str]:

@@ -1,12 +1,24 @@
+import argparse
+import itertools
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from episoderank import cli, miner
 from episoderank.cli import main
 from episoderank.datagen import load_sequences
-from episoderank.episodes import load_episodes, save_episodes, serial, parallel, vertex_set_label
+from episoderank.episodes import (
+    episode_line,
+    load_episodes,
+    save_episodes,
+    serial,
+    parallel,
+    vertex_set_label,
+)
 from episoderank.machine import block_prefix, build_machine
 from episoderank.miner import CandidateSet, merge_serial_intersections
 
@@ -245,6 +257,102 @@ class TestMineCommand:
             assert out.read_bytes() == "".join(lines).encode("ascii")
 
 
+def _usable_cpus(monkeypatch, cpus: int) -> None:
+    """Make the process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+
+class TestMineOverlap:
+    """The multiset search may run on a second thread; only the timing changes."""
+
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("overlap")
+        paths = []
+        for seed in (1, 2, 3):
+            path = root / f"corpus{seed}.txt"
+            assert main(["generate", "--kind", "plant", "--seed", str(seed),
+                         "--num-sequences", "300", "--plant-counts", "20,8,6",
+                         "--out", str(path)]) == 0
+            paths.append(path)
+        return paths
+
+    @staticmethod
+    def _in_turn(dataset, min_support: int, max_len: int, max_size: int,
+                 merge: bool) -> str:
+        """``mine``'s lines from the two searches called one after the other."""
+        mined = []
+        if max_len:
+            mined.append(miner.mine_serial(dataset, min_support, max_len))
+        if max_size:
+            mined.append(miner.mine_parallel(dataset, min_support, max_size))
+        lines = [line for result in mined for line in result.lines(
+            0 if result.serial else max_len)]
+        if merge:
+            candidates = CandidateSet(itertools.chain.from_iterable(mined))
+            lines += [episode_line(c.eid, c.episode, c.support) for c in
+                      merge_serial_intersections(candidates, dataset, min_support)]
+        return "".join(lines)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize("max_len,max_size", [(3, 2), (4, 3), (0, 2), (3, 0)])
+    def test_output_equals_the_searches_in_turn(self, corpora, tmp_path, monkeypatch,
+                                                cpus, merge, max_len, max_size):
+        _usable_cpus(monkeypatch, cpus)
+        for corpus in corpora:
+            out = tmp_path / "mined.jsonl"
+            argv = ["mine", "--data", str(corpus), "--min-support", "3", "--max-len",
+                    str(max_len), "--max-size", str(max_size), "--out", str(out)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # the two searches hand the lock over often
+            try:
+                assert main(argv + ["--merge-intersections"] * merge) == 0
+            finally:
+                sys.setswitchinterval(interval)
+            expected = self._in_turn(load_sequences(str(corpus)), 3, max_len, max_size, merge)
+            assert expected and out.read_bytes() == expected.encode("ascii")
+
+    @pytest.mark.parametrize("cpus,elsewhere", [(2, True), (1, False)])
+    def test_multisets_run_on_a_worker_only_with_a_second_cpu(self, corpora, monkeypatch,
+                                                              cpus, elsewhere):
+        _usable_cpus(monkeypatch, cpus)
+        threads = []
+        mine_parallel = miner.mine_parallel
+
+        def recorded(*args):
+            threads.append(threading.get_ident())
+            return mine_parallel(*args)
+
+        monkeypatch.setattr(miner, "mine_parallel", recorded)
+        args = argparse.Namespace(min_support=3, max_len=3, max_size=2)
+        serial_result, multisets = cli._mine(args, load_sequences(str(corpora[0])))
+        assert serial_result.serial and not multisets.serial and len(threads) == 1
+        assert (threads[0] != threading.get_ident()) == elsewhere
+
+    def test_worker_exception_surfaces_and_no_thread_outlives_the_call(self, corpora,
+                                                                       monkeypatch):
+        _usable_cpus(monkeypatch, 2)
+        error = RuntimeError("multiset search failed")
+
+        def failing(*args):
+            raise error
+
+        monkeypatch.setattr(miner, "mine_parallel", failing)
+        dataset = load_sequences(str(corpora[0]))
+        args = argparse.Namespace(min_support=3, max_len=3, max_size=2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            cli._mine(args, dataset)
+        assert raised.value is error
+        assert threading.active_count() == before
+        monkeypatch.undo()
+        _usable_cpus(monkeypatch, 2)
+        assert len(cli._mine(args, dataset)) == 2
+        assert threading.active_count() == before
+
+
 def _oracle_lines(dataset, min_support: int, max_len: int, max_size: int,
                   merge: bool) -> list[str]:
     """The episode-file lines of the depth-first miners' episodes, gathered in one
@@ -440,7 +548,11 @@ class TestExitCodes:
         (["--seed", "-1"], "--seed must be at least 0"),
         (["--num-sequences", "-5", "--plant-counts", "0,0,0"], "--num-sequences must be at least 0"),
         (["--gap-p", "1.5"], "--gap-p must lie in [0, 1)"),
-    ], ids=["seed", "num-sequences", "gap-p"])
+        (["--plant-counts=-1,0,0"], "--plant-counts must be at least 0, got -1"),
+        (["--plant-counts", "1,0"], "--plant-counts takes 3 counts for --kind plant, got 2"),
+        (["--gap-p", "0.9"], "--gap-p applies only to --kind gap, got --kind plant"),
+    ], ids=["seed", "num-sequences", "gap-p", "plant-counts-negative", "plant-counts-length",
+            "gap-p-kind"])
     def test_generate_flag_out_of_range_is_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "corpus.txt"
         assert main(["generate", "--kind", "plant", "--out", str(out)] + flags) == 1

@@ -10,7 +10,6 @@ from episoderank.datagen import (
     Dataset,
     GeneratorConfig,
     PlantSpec,
-    dataset_from_strings,
     default_config,
     generate,
     load_sequences,
@@ -20,6 +19,7 @@ from episoderank.datagen import (
 from episoderank.episodes import serial
 from episoderank.machine import build_machine, support
 
+from conftest import dataset_from_strings
 from oracles import rows, symbol_rows
 
 

@@ -10,7 +10,6 @@ from episoderank.episodes import (
     StrictnessError,
     addable,
     describe,
-    induced,
     is_proper_superepisode_same_vertices,
     is_strict,
     linear_extension,
@@ -25,7 +24,7 @@ from episoderank.episodes import (
 )
 
 from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
-from oracles import brute_force_covers, reduction_by_search, transitive_closure
+from oracles import brute_force_covers, induced, reduction_by_search, transitive_closure
 
 # the four-vertex diamond used throughout: a before b and c, both before d
 DIAMOND_EDGES = [(0, 1), (0, 2), (1, 3), (2, 3)]

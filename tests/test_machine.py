@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from episoderank.datagen import dataset_from_strings
 from episoderank.episodes import (
     is_proper_superepisode_same_vertices,
     make_episode,
@@ -18,8 +17,20 @@ from episoderank.machine import (
     support,
 )
 
-from conftest import all_sequences, enumerate_strict_episodes, random_strict_episode
-from oracles import block_super_by_machine, brute_force_covers, covers, greedy, out_edges
+from conftest import (
+    all_sequences,
+    dataset_from_strings,
+    enumerate_strict_episodes,
+    random_strict_episode,
+)
+from oracles import (
+    block_super_by_machine,
+    brute_force_covers,
+    covers,
+    greedy,
+    induced,
+    out_edges,
+)
 
 
 def diamond():
@@ -132,7 +143,6 @@ class TestSupport:
             assert support(build_machine(sub_ep), ds) >= support(m_sup, ds)
             # induced subepisode
             keep = [v for v in range(sup_ep.n) if rng.random() < 0.7]
-            from episoderank.episodes import induced
             ind = induced(sup_ep, keep)
             assert support(build_machine(ind), ds) >= support(m_sup, ds)
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from episoderank import miner
-from episoderank.datagen import dataset_from_strings, default_config, generate
-from episoderank.episodes import induced, make_episode, parallel, serial, strictify
+from episoderank.datagen import default_config, generate
+from episoderank.episodes import make_episode, parallel, serial, strictify
 from episoderank.machine import build_machine, support
 from episoderank.miner import (
     CandidateSet,
@@ -12,12 +12,13 @@ from episoderank.miner import (
     mine_serial,
 )
 
-from conftest import random_strict_episode
+from conftest import dataset_from_strings, random_strict_episode
 from oracles import (
     brute_force_covers,
     count_supports,
     dfs_mine_parallel,
     dfs_mine_serial,
+    induced,
     symbol_rows,
 )
 
@@ -189,11 +190,33 @@ class TestMinersAgainstOracle:
             for cap in range(4):
                 _assert_matches_oracle(ds, min_support, cap)
 
+    def test_index_arrays_as_int64_give_the_same_levels(self, monkeypatch):
+        rng = np.random.default_rng(20240607)
+        corpora = [dataset_from_strings(_oracle_corpus(rng)) for _ in range(40)]
+        for multisets in (False, True):
+            narrow = [miner._search(ds, 2, 4, multisets) for ds in corpora]
+            assert miner._frequent_events(corpora[0], 2, multisets)[1].dtype == np.int32
+            with monkeypatch.context() as patched:
+                patched.setattr(miner, "_index_dtype", lambda count: np.int64)
+                assert miner._frequent_events(corpora[0], 2, multisets)[1].dtype == np.int64
+                wide = [miner._search(ds, 2, 4, multisets) for ds in corpora]
+            for (symbols, levels), (wide_symbols, wide_levels) in zip(narrow, wide):
+                assert symbols == wide_symbols and len(levels) == len(wide_levels)
+                for level, wide_level in zip(levels, wide_levels):
+                    for a, b in zip(level, wide_level):
+                        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
     def test_min_support_below_one_rejected(self):
         ds = dataset_from_strings(["ab"])
         for mine in (mine_serial, mine_parallel):
             with pytest.raises(ValueError):
                 mine(ds, 0, 2)
+
+
+def test_index_dtype_holds_every_event_position():
+    assert miner._index_dtype(0) is np.int32
+    assert miner._index_dtype(2**31 - 1) is np.int32
+    assert miner._index_dtype(2**31) is np.int64
 
 
 class TestMergeIntersections:

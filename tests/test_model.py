@@ -6,7 +6,6 @@ import pytest
 
 from episoderank.datagen import (
     Alphabet,
-    dataset_from_strings,
     default_config,
     generate,
     plant_patterns,
@@ -35,7 +34,7 @@ from episoderank.model import (
     walk,
 )
 
-from conftest import random_strict_episode
+from conftest import dataset_from_strings, random_strict_episode
 from oracles import (
     conditional_label_prob,
     greedy,

@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-from episoderank.datagen import dataset_from_strings
 from episoderank.episodes import make_episode, parallel, serial
 from episoderank.machine import build_machine, support
 from episoderank.miner import CandidateSet
@@ -33,6 +32,7 @@ from episoderank.ranking import (
     tail_poisson,
 )
 
+from conftest import dataset_from_strings
 from oracles import rank_combined, tail_exact_banded, tail_poisson_loop
 
 # ln(1 - Phi(5)), computed with mpmath at 50 digits
