@@ -117,6 +117,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise UsageError(f"--plant-counts must be at least 0, got {min(args.plant_counts)}")
     config = datagen.default_config(args.kind, args.seed, num_sequences=args.num_sequences,
                                     counts=args.plant_counts, gap_p=args.gap_p)
+    most = max(spec.count for spec in config.plants)  # each sequence holds a pattern once
+    if most > config.num_sequences:
+        raise UsageError(f"--plant-counts may not exceed --num-sequences "
+                         f"({config.num_sequences}), got {most}")
     dataset = datagen.generate(config)
     datagen.save_dataset(dataset, args.out)
     if args.episodes_out:

@@ -124,14 +124,18 @@ def _frequent_events(dataset: Dataset, min_support: int, multisets: bool):
     return [symbols[lid] for lid in frequent], seq.astype(index), label
 
 
-def _links(key: np.ndarray, index: type):
-    """Each element's nearest earlier element of the same key (-1 if none), as
-    ``index``, and whether it starts a run of equal keys."""
-    by_key = np.argsort(key, kind="stable")
-    again = np.diff(key[by_key]) == 0
-    prev = np.full(len(key), -1, dtype=index)
-    prev[by_key[1:][again]] = by_key[:-1][again]
-    return prev, np.diff(key, prepend=-1) != 0
+def _occurrences(seq: np.ndarray, label: np.ndarray, count: int):
+    """The events in (label, position) order, as ``seq``'s type, and which
+    events are the first and which the last of their (sequence, label);
+    ``count`` is the number of labels."""
+    # NumPy sorts 8- and 16-bit integers stably by radix sort, several times faster
+    by_label = np.argsort(label.astype(np.min_scalar_type(count)), kind="stable")
+    by_label = by_label.astype(seq.dtype)
+    again = (np.diff(label[by_label]) == 0) & (np.diff(seq[by_label]) == 0)
+    first, last = np.ones(len(label), dtype=bool), np.ones(len(label), dtype=bool)
+    first[by_label[1:][again]] = False
+    last[by_label[:-1][again]] = False
+    return by_label, first, last
 
 
 def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
@@ -143,42 +147,45 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
 
     Each entry holds a node's leftmost match in one supporting sequence, in
     (node, sequence) order. A child's support counts its parent's entries with
-    the child's label after the match; the first such event is the child's
-    match. That event is either the one right after the match, of the same
-    label, or the first of a later run of equal labels, so an entry expands
-    only those: after a match in a sorted sequence, one per distinct label.
-    Nodes are expanded in batches, a fixed number of array operations each.
-    Returns the labels' symbols and ``(parent, label, support)`` per level.
+    the child's label after the match. An entry projects onto the last
+    occurrence of every (sequence, label) after its match, exactly one event
+    per distinct later label, so the counting keys need no filter. Only the
+    entries of frequent children look up the child's leftmost match, the
+    first event of its label after the match, by one binary search over the
+    events in (label, position) order. Nodes are expanded in batches, a fixed
+    number of array operations each. Returns the labels' symbols and
+    ``(parent, label, support)`` per level.
     """
     symbols, seq, label = _frequent_events(dataset, min_support, multisets)
-    F, index = len(symbols), seq.dtype.type
-    prev, head = _links(seq.astype(np.int64) * F + label, index)  # per (sequence, label)
-    heads, run = np.flatnonzero(head).astype(index), np.cumsum(head, dtype=index) - 1
-    more = np.append(~head[1:], False)  # the next event continues this run
-    run_ends = np.searchsorted(seq[heads], np.arange(1, dataset.num_sequences + 1)).astype(index)
-    pos = np.flatnonzero(prev < 0).astype(index)
-    pos = pos[np.argsort(label[pos], kind="stable")]
+    F, E, index = len(symbols), len(label), seq.dtype.type
+    by_label, first, last = _occurrences(seq, label, F)
+    sorted_keys = label[by_label].astype(np.int64) * E + by_label  # increasing
+    lasts = np.flatnonzero(last)
+    rank = np.cumsum(last, dtype=index)  # the lasts at or before each event
+    last_label = label[lasts]
+    last_ends = np.searchsorted(seq[lasts], np.arange(1, dataset.num_sequences + 1)).astype(index)
+    pos = by_label[first[by_label]]
 
     node, at = label[pos], seq[pos]
     levels = [(np.full(F, -1), np.arange(F), np.bincount(node, minlength=F))]
     for k in range(2, max_k + 1):
         grow = k < max_k
-        lo, extra = run[pos] + 1, more[pos]
-        size = run_ends[at] - lo + extra
+        lo = rank[pos]
+        size = last_ends[at] - lo
         found, entries, width = [], [], 0
         for a, b in _batches(node, size, F):
-            lens, offs = size[a:b], np.cumsum(size[a:b]) - size[a:b]
-            entry = np.repeat(np.arange(a, b), lens)
-            event = heads[np.arange(len(entry)) + np.repeat(lo[a:b] - extra[a:b] - offs, lens)]
-            event[offs[extra[a:b]]] = pos[a:b][extra[a:b]] + 1
-            first = prev[event] <= np.repeat(pos[a:b], lens)  # first of its label after the match
-            entry, event = entry[first], event[first]
-            key = (node[entry] - node[a]).astype(np.int64) * F + label[event]
+            lens = size[a:b]
+            offs = np.cumsum(lens) - lens
+            later = np.arange(offs[-1] + lens[-1]) + np.repeat(lo[a:b] - offs, lens)
+            key = np.repeat((node[a:b] - node[a]).astype(np.int64) * F, lens) + last_label[later]
             kept, counts, members = _frequent_groups(key, min_support, grow)
             found.append((kept // F + node[a], kept % F, counts))
             if grow:
+                entry = a + np.searchsorted(offs, members, side="right") - 1
+                child = np.searchsorted(sorted_keys, key[members] % F * E + pos[entry],
+                                        side="right")
                 entries.append((width + np.repeat(np.arange(len(kept), dtype=index), counts),
-                                at[entry[members]], event[members]))
+                                at[entry], by_label[child]))
             width += len(kept)
         if not width:
             break
@@ -189,16 +196,20 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
 
 
 def _form(index: list[int], equal: list[bool], serial: bool):
-    """Closed edges, id suffix, JSON edge list and whether every label is the
-    same, of a serial episode (every pair in pattern order) or a strictified
-    multiset (each run of equal labels chained); ``index`` maps pattern
-    positions to canonical vertices, ``equal`` marks equal neighbours in
-    canonical order."""
+    """Closed edges, id suffix, episode-file line template and whether every
+    label is the same, of a serial episode (every pair in pattern order) or a
+    strictified multiset (each run of equal labels chained); ``index`` maps
+    pattern positions to canonical vertices, ``equal`` marks equal neighbours
+    in canonical order. The template takes the n JSON-escaped labels twice,
+    for the id and the labels, then the support."""
     n = len(index)
     closed = frozenset((index[i], index[j]) for i in range(n) for j in range(i + 1, n)
                        if serial or all(equal[i:j]))
     reduced = sorted((index[i], index[i + 1]) for i in range(n - 1) if serial or equal[i])
-    return closed, "".join(f"|{u}<{v}" for u, v in reduced), edge_list(reduced), all(equal)
+    suffix = "".join(f"|{u}<{v}" for u, v in reduced)  # digits and |<, never %
+    template = record_line('"' + "-".join(["%s"] * n) + suffix + '"',
+                           "[" + ", ".join(['"%s"'] * n) + "]", edge_list(reduced), "%d")
+    return closed, suffix, template, all(equal)
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -286,12 +297,11 @@ class MinedEpisodes:
         at most ``skip_repeats`` times: a serial search capped at that length
         finds each of them as a serial episode, the same episode."""
         escaped = [json.dumps(symbol)[1:-1] for symbol in self.symbols]
-        quoted = [f'"{text}"' for text in escaped]
-        for row, (_, suffix, edges, same), support in self._records():
+        for row, (_, _, template, same), support in self._records():
             if same and len(row) <= skip_repeats:
                 continue
-            yield record_line('"' + "-".join([escaped[r] for r in row]) + suffix + '"',
-                              "[" + ", ".join([quoted[r] for r in row]) + "]", edges, support)
+            labels = [escaped[r] for r in row]
+            yield template % (*labels, *labels, support)
 
 
 def _mine(dataset: Dataset, min_support: int, max_k: int, serial: bool) -> MinedEpisodes:

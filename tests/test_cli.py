@@ -551,8 +551,12 @@ class TestExitCodes:
         (["--plant-counts=-1,0,0"], "--plant-counts must be at least 0, got -1"),
         (["--plant-counts", "1,0"], "--plant-counts takes 3 counts for --kind plant, got 2"),
         (["--gap-p", "0.9"], "--gap-p applies only to --kind gap, got --kind plant"),
+        (["--plant-counts", "40,8,6", "--num-sequences", "5"],
+         "--plant-counts may not exceed --num-sequences (5), got 40"),
+        (["--num-sequences", "150"],
+         "--plant-counts may not exceed --num-sequences (150), got 200"),
     ], ids=["seed", "num-sequences", "gap-p", "plant-counts-negative", "plant-counts-length",
-            "gap-p-kind"])
+            "gap-p-kind", "plant-counts-above-num-sequences", "default-plant-counts-above"])
     def test_generate_flag_out_of_range_is_usage_error(self, tmp_path, capsys, flags, message):
         out = tmp_path / "corpus.txt"
         assert main(["generate", "--kind", "plant", "--out", str(out)] + flags) == 1

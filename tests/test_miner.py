@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from episoderank import miner
-from episoderank.datagen import default_config, generate
-from episoderank.episodes import make_episode, parallel, serial, strictify
+from episoderank.datagen import Dataset, default_config, generate
+from episoderank.episodes import episode_line, make_episode, parallel, serial, strictify
 from episoderank.machine import build_machine, support
 from episoderank.miner import (
     CandidateSet,
@@ -133,6 +135,25 @@ def _oracle_corpus(rng: np.random.Generator) -> list[str]:
     return rows
 
 
+def _repeat_corpus(rng: np.random.Generator) -> list[str]:
+    """Rows in which every label repeats many times: periodic rows such as
+    abab..., rows of runs such as aabbbcaabbbc... and long random rows over two
+    or three labels. A match's child label then occurs several times after it,
+    so its leftmost match lies well before the label's last occurrence."""
+    alphabet = list("zyx"[:int(rng.integers(2, 4))])
+    rows = []
+    for _ in range(int(rng.integers(2, 7))):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            rows.append("".join(rng.permutation(alphabet)) * int(rng.integers(4, 40)))
+        elif kind == 1:
+            runs = "".join(c * int(rng.integers(1, 5)) for c in rng.permutation(alphabet))
+            rows.append(runs * int(rng.integers(2, 12)))
+        else:
+            rows.append("".join(rng.choice(alphabet, size=int(rng.integers(40, 160)))))
+    return rows
+
+
 class TestMinersAgainstOracle:
     """The level-wise miners return the depth-first oracle's candidates, in order."""
 
@@ -146,6 +167,35 @@ class TestMinersAgainstOracle:
             min_support = int(rng.integers(1, 4))
             for cap in range(5):
                 _assert_matches_oracle(ds, min_support, cap)
+
+    @pytest.mark.parametrize("batch", [1, miner.BATCH_EVENTS])
+    def test_heavily_repeated_labels(self, batch, monkeypatch):
+        monkeypatch.setattr(miner, "BATCH_EVENTS", batch)
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            ds = dataset_from_strings(_repeat_corpus(rng))
+            for min_support in (1, 2, 3):
+                for cap in range(5):
+                    _assert_matches_oracle(ds, min_support, cap)
+
+    def test_projection_is_one_event_per_distinct_later_label(self, monkeypatch):
+        # a few long rows over three labels: every match is followed by dozens
+        # of runs of equal labels, but by at most three distinct labels
+        batches = miner._batches
+        levels = []
+
+        def recorded_batches(node, weights, cells):
+            levels.append((len(node), int(weights.sum()), cells))
+            return batches(node, weights, cells)
+
+        monkeypatch.setattr(miner, "_batches", recorded_batches)
+        rng = np.random.default_rng(3)
+        ds = dataset_from_strings(["".join(rng.choice(list("abc"), size=200))
+                                   for _ in range(4)])
+        _assert_matches_oracle(ds, 2, 4)
+        assert len(levels) == 6  # levels 2 to 4 of both searches
+        for entries, weight, labels in levels:
+            assert labels == 3 and weight <= entries * labels
 
     def test_batches_bound_count_cells(self, monkeypatch):
         # with about 40 frequent labels, a few nodes' count cells outweigh
@@ -211,6 +261,34 @@ class TestMinersAgainstOracle:
         for mine in (mine_serial, mine_parallel):
             with pytest.raises(ValueError):
                 mine(ds, 0, 2)
+
+
+def test_occurrences_sort_wide_labels_the_same_way():
+    rng = np.random.default_rng(5)
+    seq = np.sort(rng.integers(0, 6, size=300)).astype(np.int32)
+    label = rng.integers(0, 9, size=300).astype(np.int32)
+    narrow = miner._occurrences(seq, label, 9)  # sorted as 8-bit integers
+    wide = miner._occurrences(seq, label, 1 << 16)  # as 32-bit integers
+    for a, b in zip(narrow, wide):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    by_label, first, last = narrow
+    assert np.array_equal(by_label, np.lexsort((np.arange(300), label)))
+    keys = list(zip(seq.tolist(), label.tolist()))
+    assert first.tolist() == [keys.index(k) == i for i, k in enumerate(keys)]
+    assert last.tolist() == [k not in keys[i + 1:] for i, k in enumerate(keys)]
+
+
+def test_lines_escape_symbols_as_episode_files_do():
+    # symbols holding a format character, quotes, a backslash and non-ASCII text
+    odd = ["50%", 'say "%s"', "\\d", "caf\u00e9", "\u6f22"]
+    rows = [odd, odd[::-1], odd[2:] + odd[:2], odd + odd[:2], ["50%", "50%", "\u6f22"]]
+    ds = Dataset.from_rows(rows)
+    for mine in (mine_serial, mine_parallel):
+        result = mine(ds, 2, 3)
+        lines = list(result.lines())
+        assert lines == [episode_line(c.eid, c.episode, c.support) for c in result]
+        assert len(lines) > 20 and all(line.isascii() for line in lines)
+        assert {tuple(json.loads(line)["labels"]) for line in lines} >= {("50%", "50%")}
 
 
 def test_index_dtype_holds_every_event_position():
