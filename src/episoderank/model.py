@@ -520,26 +520,35 @@ def transition_rates(machine: Machine | MachineUnion, params,
 
 
 def reach_table(machine: Machine | MachineUnion, stay: np.ndarray, edge_p: np.ndarray,
-                max_length: int) -> np.ndarray:
-    """Distribution over states of the greedy walk after 0..max_length events.
+                lengths: Sequence[int]) -> np.ndarray:
+    """Distribution over states of the greedy walk after each of ``lengths`` events.
 
-    Row ``k`` solves ``p(H, k) = stay_H p(H, k-1) + sum over incoming edges of
-    p(edge) p(src, k-1)`` from the point mass on the source (on every
-    member's source, for a union). A step is one ``bincount`` over all
-    self-loops and then all edges, which adds each state's terms in that
+    ``lengths`` ascend from 0 or more; row ``i`` of the ``[len(lengths), S]``
+    result is the distribution after ``lengths[i]`` events. It solves
+    ``p(H, k) = stay_H p(H, k-1) + sum over incoming edges of p(edge)
+    p(src, k-1)`` from the point mass on the source (on every member's
+    source, for a union), one rolling state vector stepped up to the last
+    length; only the rows asked for are kept. A step is one ``bincount`` over
+    all self-loops and then all edges, which adds each state's terms in that
     order: the stay term first, then the incoming edges in edge order. So a
     member of a union gets the columns it gets alone, bit for bit.
     """
     if not isinstance(machine, MachineUnion):
         machine = MachineUnion([machine])
+    if np.any(np.diff(lengths, prepend=0) < 0):
+        raise ValueError("reach_table lengths must be non-negative and ascend")
     S = machine.num_states
     loops = np.arange(S)
     src = np.concatenate((loops, machine.edge_src))
     dst = np.concatenate((loops, machine.edge_dst))
     weight = np.concatenate((stay, edge_p))
-    table = np.zeros((max_length + 1, S))
-    table[0, machine.source] = 1.0
-    prev = table[0]
-    for k in range(1, max_length + 1):
-        prev = table[k] = np.bincount(dst, weights=weight * prev[src], minlength=S)
+    table = np.empty((len(lengths), S))
+    state = np.zeros(S)
+    state[machine.source] = 1.0
+    done = 0
+    for row, k in enumerate(lengths):
+        for _ in range(k - done):
+            state = np.bincount(dst, weights=weight * state[src], minlength=S)
+        table[row] = state
+        done = k
     return table

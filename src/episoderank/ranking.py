@@ -10,14 +10,14 @@ Episodes are ranked in batches (:func:`rank_many`; :func:`rank_episode` is the
 batch of one). A batch is a disjoint union of the episodes' machines: one walk
 gives every support and, for the episodes with a partition model to fit, the
 sufficient statistics; the independence models come in closed form from the
-corpus label counts. :func:`rank_models` is the one path from fitted models to
-ranks: one reach recursion over the union up to the longest sequence, the sink
-column read at every length, then one tail call for the members of each tail
-method; :func:`rank` is its call for one model. Every episode also lists its
-partition models (every proper prefix split, every same-vertex stricter
-candidate), fitted one by one on its statistics; the combined rank is the
-lowest over that family. An episode's numbers do not depend on the batch it
-shares.
+corpus label counts. Every episode also lists its partition models (every
+proper prefix split, every same-vertex stricter candidate), fitted one by one
+on its statistics. :func:`rank_models` is the one path from fitted models to
+ranks, called once per batch for every model of every episode: one reach pass
+over the union that keeps the sink column at the corpus's sequence lengths
+only, then one tail call for the members of each tail method; :func:`rank` is
+its call for one model. The combined rank is the lowest over an episode's
+family. An episode's numbers do not depend on the batch it shares.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ POISSON_MU_MAX = 10.0  # below this the normal approximation is unreliable
 INDEPENDENCE = "independence"
 # array cells one batch of episodes fills at most (an episode needing more is
 # a batch alone): the corpus events its walk reads plus its reach table's
-# states x lengths. It bounds the batch's arrays and so the peak memory.
+# states x distinct sequence lengths. It bounds the batch's arrays and so the
+# peak memory.
 BATCH_CELLS = 1 << 15
 
 
@@ -291,31 +292,35 @@ class RankResult:
 
 
 def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[PartitionSpec],
-                dataset: Dataset, observed: list[int], exact: bool = False,
-                explainer: str = INDEPENDENCE) -> list[RankResult]:
+                dataset: Dataset, observed: list[int], explainers: list[str],
+                exact: bool = False) -> list[RankResult]:
     """Rank each member's observed support against the member's fitted model.
 
-    The cover probability of a sequence of length k is the sink entry of row
-    k of one reach recursion over the union. The expected support and its
-    variance are summed one length at a time in ``length_counts`` order, for
-    all members at once. Each member then uses the Poisson approximation when
-    its expected support is small (at most 10), the corrected normal
+    A member is one model of a machine, which may repeat in the union, and
+    ``explainers`` names each member's model in its result. The cover
+    probability of a sequence depends only on its length: it is the sink
+    entry of one reach pass over the union, which keeps the rows at the
+    corpus's distinct lengths only. The expected support and its variance are
+    summed one length at a time in ``length_counts`` order, for all members
+    at once. Each member then uses the Poisson approximation when its
+    expected support is small (at most 10), the corrected normal
     approximation otherwise, or the exact Poisson-binomial law on request;
     each tail is one call for all the members that use it.
     """
     counts = dataset.length_counts()  # keyed in order of first appearance
+    lengths = sorted(counts)
     stay, edge_p = transition_rates(union, params, specs)
-    sink = reach_table(union, stay, edge_p, max(counts, default=0))[:, union.sink]
+    sink = reach_table(union, stay, edge_p, lengths)[:, union.sink]  # [lengths, members]
+    row = {k: r for r, k in enumerate(lengths)}
     mu = sigma2 = np.zeros(len(union.members))
     for k, c in counts.items():
-        p = sink[k]
+        p = sink[row[k]]
         mu = mu + c * p
         sigma2 = sigma2 + c * p * (1.0 - p)
     observed = np.asarray(observed, dtype=np.int64)
     if exact:
-        lengths = sorted(counts)
         methods = np.full(len(mu), "exact")
-        log_surv = tail_exact(sink[lengths].T, observed, [counts[k] for k in lengths])
+        log_surv = tail_exact(sink.T, observed, [counts[k] for k in lengths])
     else:
         poisson = mu <= POISSON_MU_MAX
         methods = np.where(poisson, "poisson", "normal")
@@ -326,15 +331,16 @@ def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[Part
             log_surv[~poisson] = tail_normal(mu[~poisson], sigma2[~poisson], observed[~poisson])
     log_surv[observed <= 0] = 0.0  # P(X >= 0) = 1 identically
     return [RankResult(m, s2, n, max(0.0, -ls), method, explainer)
-            for m, s2, n, method, ls in zip(mu.tolist(), sigma2.tolist(), observed.tolist(),
-                                            methods.tolist(), log_surv.tolist())]
+            for m, s2, n, method, ls, explainer in zip(
+                mu.tolist(), sigma2.tolist(), observed.tolist(), methods.tolist(),
+                log_surv.tolist(), explainers)]
 
 
 def rank(machine: Machine, params: ModelParams, spec: PartitionSpec, dataset: Dataset,
          observed: int, exact: bool = False, explainer: str = INDEPENDENCE) -> RankResult:
     """Rank the observed support against one fitted model (see :func:`rank_models`)."""
     return rank_models(MachineUnion([machine]), [params], [spec], dataset, [observed],
-                       exact, explainer)[0]
+                       [explainer], exact)[0]
 
 
 @dataclass
@@ -402,10 +408,12 @@ def _rank_batch(episodes: list[tuple[str, Episode]], dataset: Dataset,
 
     One walk over the union of the episodes' machines gives every support,
     and the statistics of the episodes with a partition model that boosts an
-    edge. The independence models come from the label counts and are ranked
-    together. Each boosted model is fitted on its episode's statistics and
-    ranked alone (through the module's :func:`rank`); a model that boosts no
-    edge is the independence model and reuses its rank instead of refitting.
+    edge. The independence models come from the label counts, and each
+    boosted model is fitted on its episode's statistics; a model that boosts
+    no edge is the independence model and reuses its rank instead of
+    refitting. Then one :func:`rank_models` call ranks every model of every
+    episode whose fits all succeeded, over a union that holds an episode's
+    machine once for its independence model and once for each boosted model.
     """
     out: list = [None] * len(episodes)
     ranked, machines, models = [], [], []
@@ -431,27 +439,34 @@ def _rank_batch(episodes: list[tuple[str, Episode]], dataset: Dataset,
         return out
 
     params0 = fit_independence(dataset, collapsed)
-    inds = rank_models(union, params0, [EMPTY_SPEC] * len(machines), dataset, supports, exact)
+    families = []  # (i, j, [(explainer, spec, params)]) of every episode fitted
+    members = []  # (machine, params, spec, explainer, observed) of every model to rank
     for j, i in enumerate(ranked):
-        machine, observed, ind = machines[j], supports[j], inds[j]
-        evaluations = [SpecEvaluation(INDEPENDENCE, EMPTY_SPEC, params0[j], ind)]
-        best: RankResult | None = None
+        machine = machines[j]
         try:
-            for explainer, spec in models[j]:
-                if spec.is_empty:
-                    params, cand = params0[j], ind
-                else:
-                    params = fit(machine, spec, stats[j])
-                    cand = rank(machine, params, spec, dataset, observed, exact=exact,
-                                explainer=explainer)
-                if keep_evaluations:
-                    evaluations.append(SpecEvaluation(explainer, spec, params, cand))
-                if _beats(cand, best):
-                    best = cand
+            family = [(explainer, spec,
+                       params0[j] if spec.is_empty else fit(machine, spec, stats[j]))
+                      for explainer, spec in models[j]]
         except NumericalFitError as exc:
             out[i] = exc
             continue
-        out[i] = EpisodeRanking(*episodes[i], observed, ind, best or ind,
+        families.append((i, j, family))
+        members.append((machine, params0[j], EMPTY_SPEC, INDEPENDENCE, supports[j]))
+        members += [(machine, params, spec, explainer, supports[j])
+                    for explainer, spec, params in family if not spec.is_empty]
+    ms, ps, ss, names, observed = zip(*members) if members else [()] * 5
+    results = iter(rank_models(MachineUnion(ms), ps, ss, dataset, observed, names, exact))
+    for i, j, family in families:
+        ind = next(results)
+        evaluations = [SpecEvaluation(INDEPENDENCE, EMPTY_SPEC, params0[j], ind)]
+        best: RankResult | None = None
+        for explainer, spec, params in family:
+            cand = ind if spec.is_empty else next(results)
+            if keep_evaluations:
+                evaluations.append(SpecEvaluation(explainer, spec, params, cand))
+            if _beats(cand, best):
+                best = cand
+        out[i] = EpisodeRanking(*episodes[i], supports[j], ind, best or ind,
                                 evaluations if keep_evaluations else [])
     return out
 
@@ -511,10 +526,11 @@ def _batches(episodes: list[tuple[str, Episode]], dataset: Dataset,
     several threads, at most a quarter of each thread's share.
 
     An episode fills one cell per corpus event of its labels and one per
-    reach-table entry, at most 2^n states (the vertex sets) times the lengths.
+    reach-table entry: at most 2^n states (the vertex sets) at each distinct
+    sequence length of the corpus.
     """
     counts, id_of = dataset.label_counts(), dataset.alphabet.id_of
-    rows = max(dataset.length_counts(), default=0) + 1
+    rows = len(dataset.length_counts())
     cells = [sum(int(counts[lid]) for lid in {id_of(lab) for lab in ep.labels} - {None})
              + (rows << ep.n) for _, ep in episodes]
     bound = BATCH_CELLS

@@ -168,7 +168,7 @@ def test_criterion_4_reach_probability_oracle():
         spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
         params = ModelParams(col, u, float(rng.normal()), float(rng.normal()), col.star)
         n = 5
-        table = reach_table(m, *transition_rates(m, params, spec), n)
+        table = reach_table(m, *transition_rates(m, params, spec), range(n + 1))
         exact = np.zeros(m.num_states)
         for seq in itertools.product(col.classes, repeat=n):
             exact[greedy(m, seq)] += math.exp(sequence_log_prob(m, params, spec, seq))

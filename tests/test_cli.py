@@ -174,7 +174,7 @@ class TestRankCommand:
             reports.append(out.read_text())
             tail_calls.append(len(calls))
         assert reports[0] == reports[1]
-        # one tail call a batch (and one a boosted model): the small bound cuts more batches
+        # one tail call a batch: the small bound cuts more batches
         assert tail_calls[1] > tail_calls[0]
 
     @pytest.mark.parametrize("threads", [1, 2])

@@ -544,12 +544,47 @@ class TestReachStep:
             for spec in (EMPTY_SPEC, boosted):
                 params = fit(m, spec, stats)
                 stay, edge_p = transition_rates(m, params, spec)
-                assert np.array_equal(reach_table(m, stay, edge_p, 40),
+                assert np.array_equal(reach_table(m, stay, edge_p, range(41)),
                                       reach_table_by_add_at(m, stay, edge_p, 40))
             params = random_params(rng, stats.collapsed, t_scale=2.0)
             stay, edge_p = transition_rates(m, params, boosted)
-            assert np.array_equal(reach_table(m, stay, edge_p, 40),
+            assert np.array_equal(reach_table(m, stay, edge_p, range(41)),
                                   reach_table_by_add_at(m, stay, edge_p, 40))
+
+    def test_scattered_lengths_keep_those_rows_bit_for_bit(self):
+        # a single machine, then a union that repeats one machine under two models
+        rng = np.random.default_rng(23)
+        lengths = [0, 3, 17, 40]
+        machines = [build_machine(ep) for ep in (serial("abcd"), diamond(), serial("abcd"))]
+        params, specs = [], []
+        for m in machines:
+            edges = list(range(len(m.edges)))
+            rng.shuffle(edges)
+            params.append(random_params(rng, collapse_alphabet(m.episode), t_scale=2.0))
+            specs.append(PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4])))
+        m = machines[1]
+        stay, edge_p = transition_rates(m, params[1], specs[1])
+        table = reach_table(m, stay, edge_p, lengths)
+        assert table.shape == (len(lengths), m.num_states)
+        assert np.array_equal(table, reach_table_by_add_at(m, stay, edge_p, 40)[lengths])
+
+        union = MachineUnion(machines)
+        stay, edge_p = transition_rates(union, params, specs)
+        table = reach_table(union, stay, edge_p, lengths)
+        assert table.shape == (len(lengths), union.num_states)
+        for i, m in enumerate(machines):
+            lo, hi = union.offsets[i:i + 2]
+            alone = reach_table_by_add_at(m, stay[lo:hi], edge_p[union.edge_member == i], 40)
+            assert np.array_equal(table[:, lo:hi], alone[lengths])
+
+    def test_lengths_must_ascend(self):
+        m = build_machine(diamond())
+        stay, edge_p = transition_rates_from_probs(m, TestReach.WORKED_PROBS)
+        for lengths in ([3, 1], [-1, 2]):
+            with pytest.raises(ValueError, match="ascend"):
+                reach_table(m, stay, edge_p, lengths)
+        twice = reach_table(m, stay, edge_p, [2, 2])
+        assert np.array_equal(twice[0], twice[1])
 
     def test_independence_rates_match_the_masked_path(self):
         # the empty spec's one-row conditionals equal every row of the masked ones
@@ -583,13 +618,13 @@ class TestReach:
     def test_length_zero_is_point_mass(self):
         m = build_machine(diamond())
         stay, edge_p = transition_rates_from_probs(m, self.WORKED_PROBS)
-        table = reach_table(m, stay, edge_p, 0)
+        table = reach_table(m, stay, edge_p, range(1))
         assert table[0, m.source] == 1.0 and table[0].sum() == 1.0
 
     def test_slices_are_distributions_and_sink_monotone(self):
         m = build_machine(diamond())
         stay, edge_p = transition_rates_from_probs(m, self.WORKED_PROBS)
-        table = reach_table(m, stay, edge_p, 40)
+        table = reach_table(m, stay, edge_p, range(41))
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
         sink = table[:, m.sink]
         assert np.all(np.diff(sink) >= -1e-15)
@@ -604,7 +639,7 @@ class TestReach:
             edges = list(range(len(m.edges)))
             rng.shuffle(edges)
             spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
-            table = reach_table(m, *transition_rates(m, params, spec), 4)
+            table = reach_table(m, *transition_rates(m, params, spec), range(5))
             exact = np.zeros(m.num_states)
             for seq in itertools.product(col.classes, repeat=4):
                 exact[greedy(m, seq)] += math.exp(sequence_log_prob(m, params, spec, seq))
@@ -631,7 +666,7 @@ class TestReach:
         previous = -1.0
         for t1 in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]:
             params = ModelParams(col, u, t1, 0.0, 3)
-            sink_p = reach_table(m, *transition_rates(m, params, spec), 12)[12, m.sink]
+            sink_p = reach_table(m, *transition_rates(m, params, spec), range(13))[12, m.sink]
             assert sink_p >= previous
             previous = sink_p
 

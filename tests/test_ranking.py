@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -42,7 +43,8 @@ LOG_SURVIVAL_Z5 = -15.064998393988726
 def cover_by_length(machine, params, spec, dataset) -> dict[int, float]:
     """Cover probability of each sequence length: the sink column of one reach table."""
     counts = dataset.length_counts()
-    table = reach_table(machine, *transition_rates(machine, params, spec), max(counts))
+    table = reach_table(machine, *transition_rates(machine, params, spec),
+                        range(max(counts) + 1))
     return {k: float(table[k, machine.sink]) for k in counts}
 
 
@@ -456,16 +458,17 @@ class TestRankCombined:
         # must not follow that noise, but stay the first model evaluated
         from episoderank import ranking
 
-        real_rank = ranking.rank
+        real_rank_models = ranking.rank_models
         last = [12.0]
 
-        def noisy_rank(*args, explainer=ranking.INDEPENDENCE, **kwargs):
-            result = real_rank(*args, explainer=explainer, **kwargs)
-            if explainer != ranking.INDEPENDENCE:
-                result.rank = last[0] = math.nextafter(last[0], 0.0)
-            return result
+        def noisy_rank_models(*args, **kwargs):
+            results = real_rank_models(*args, **kwargs)
+            for result in results:  # in evaluation order
+                if result.explainer != ranking.INDEPENDENCE:
+                    result.rank = last[0] = math.nextafter(last[0], 0.0)
+            return results
 
-        monkeypatch.setattr(ranking, "rank", noisy_rank)
+        monkeypatch.setattr(ranking, "rank_models", noisy_rank_models)
         rng = np.random.default_rng(5)
         ds = self._follower_corpus(rng)
         candidates = CandidateSet()
@@ -476,11 +479,55 @@ class TestRankCombined:
         assert explainers == ["prefix:{a}", "prefix:{b}", "prefix:{a,b}", "super:serial-bac"]
         assert result.part.explainer == "prefix:{a}"
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_results_do_not_depend_on_the_batch(self, monkeypatch, exact):
+        # several boosted models share one batch with other episodes, one of
+        # which fails its fit; each model's result is its one-model rank
+        from episoderank import model, ranking
+
+        monkeypatch.setattr(ranking, "BATCH_CELLS", 1 << 30)
+        real_fit = ranking.fit
+
+        def failing_for_pair(machine, spec, stats):
+            if machine.episode == parallel("ab"):
+                raise model.NumericalFitError("non-finite gradient during fitting")
+            return real_fit(machine, spec, stats)
+
+        monkeypatch.setattr(ranking, "fit", failing_for_pair)
+        rng = np.random.default_rng(5)
+        ds = self._follower_corpus(rng)
+        candidates = CandidateSet()
+        candidates.add("serial-bac", serial("bac"))
+        candidates.add("serial-ab", serial("ab"))
+        abc = make_episode("abc", [(0, 2), (1, 2)])
+        batch = [("ab", serial("ab")), ("pair", parallel("ab")), ("abc", abc),
+                 ("u", serial("u")), ("bac", serial("bac"))]
+        assert len(ranking._batches(batch, ds, 1)) == 1
+        rows, errors = rank_many(batch, ds, candidates, exact=exact)
+        assert errors == [("pair", "non-finite gradient during fitting")]
+        m = build_machine(abc)
+        stats, observed = collect_statistics(m, ds)
+        in_batch = ranking._rank_batch(batch, ds, candidates, exact, keep_evaluations=True)[2]
+        alone = rank_episode("abc", abc, ds, candidates, exact=exact, keep_evaluations=True)
+        for result in (in_batch, alone):
+            assert len([ev for ev in result.evaluations if not ev.spec.is_empty]) >= 4
+            for ev in result.evaluations:
+                one = rank(m, ev.params, ev.spec, ds, observed, exact=exact,
+                           explainer=ev.explainer)
+                assert _bits(ev.result) == _bits(one)
+        row = next(r for r in rows if r.eid == "abc")
+        assert (_bits(row.ind), _bits(row.part)) == (_bits(alone.ind), _bits(alone.part))
+
     def test_rank_combined_wrapper(self):
         rng = np.random.default_rng(9)
         ds = self._follower_corpus(rng)
         r = rank_combined(parallel("ab"), ds)
         assert r.observed == support(build_machine(parallel("ab")), ds)
+
+
+def _bits(result: RankResult) -> tuple:
+    """Every field of a result, floats by their exact bits."""
+    return tuple(x.hex() if isinstance(x, float) else x for x in astuple(result))
 
 
 class TestRankMany:
@@ -563,6 +610,32 @@ class TestBatches:
         assert reports[0] == reports[1] == reports[2]
         alone = [rank_episode(eid, ep, ds, candidates, exact=exact) for eid, ep in episodes]
         assert reports[0] == render_report(alone)
+
+    def test_long_sequences_share_batches(self, monkeypatch):
+        # rows joined into 3 sequences of about 5 000 events: an episode's
+        # reach rows are its states at the 3 lengths, so episodes share batches
+        from episoderank import ranking
+        from episoderank.datagen import Dataset, default_config, generate, plant_patterns
+
+        ds = generate(default_config("plant", seed=4, num_sequences=600, counts=(40, 8, 6)))
+        joined = Dataset(ds.alphabet, ds.tokens, ds.offsets[[0, 200, 400, 600]])
+        # counted at one reach row per length up to the longest, every episode
+        # of two or more vertices would fill more than half the default bound
+        assert min(joined.length_counts()) << 2 > ranking.BATCH_CELLS // 2
+        candidates = CandidateSet()
+        for i, ep in enumerate(plant_patterns()):
+            candidates.add(f"planted-{i}", ep)
+        for x, y in itertools.permutations("abcdefn", 2):
+            candidates.add(f"{x}{y}", serial(x + y))
+            candidates.add(f"{x}|{y}", parallel(x + y))
+        episodes = [(c.eid, c.episode) for c in candidates]
+        assert max(len(batch) for batch in ranking._batches(episodes, joined, 1)) > 1
+        reports = []
+        for bound in (ranking.BATCH_CELLS, 1):
+            monkeypatch.setattr(ranking, "BATCH_CELLS", bound)
+            rows, errors = rank_many(episodes, joined, candidates)
+            reports.append(render_report(rows, errors=errors))
+        assert reports[0] == reports[1]
 
     def test_bad_episodes_leave_the_rest_of_their_batch(self):
         from episoderank.episodes import VERTEX_CAP
