@@ -257,7 +257,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
     lines.append(f"support {result.support}")
     lines.append(f"winner {result.part.explainer}: rank_part={result.part.rank / scale:.6g} "
                  f"rank_ind={result.ind.rank / scale:.6g}")
-    if all(ev.spec.is_empty for ev in result.evaluations):
+    if not result.evaluations:
+        lines.append("note: the corpus has no events, so no model was fitted")
+    elif all(ev.spec.is_empty for ev in result.evaluations):
         lines.append("note: every partition of this episode equals the independence model")
     _write("\n".join(lines) + "\n", args.out)
 

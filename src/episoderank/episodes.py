@@ -271,9 +271,9 @@ def save_episodes(items: Iterable[tuple[str, Episode]], path: str) -> None:
 def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Episode]]:
     """Read a JSON-lines episode file; close, validate and canonicalize.
 
-    A record without labels is rejected. Non-strict episodes are rejected
-    unless ``auto_strictify`` is set, in which case unordered equal-label
-    vertices are chained.
+    A record whose labels are not a non-empty list of strings is rejected.
+    Non-strict episodes are rejected unless ``auto_strictify`` is set, in
+    which case unordered equal-label vertices are chained.
     """
     out: list[tuple[str, Episode]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -284,7 +284,10 @@ def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Ep
             try:
                 obj = json.loads(line)
                 eid = str(obj["id"])
-                episode = make_episode(obj["labels"], [(u, v) for u, v in obj["edges"]])
+                labels = obj["labels"]
+                if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+                    raise TypeError(f"labels must be a list of strings, not {labels!r}")
+                episode = make_episode(labels, [(u, v) for u, v in obj["edges"]])
             except (KeyError, TypeError, ValueError) as exc:  # EpisodeError is a ValueError
                 raise EpisodeError(f"{path}:{lineno}: malformed episode record: {exc}") from None
             if not episode.n:  # every sequence would cover it, whatever the model

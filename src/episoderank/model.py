@@ -323,22 +323,19 @@ def log_likelihood(stats: StateStats, params: ModelParams, machine: Machine,
     return float((stats.n * _model_log_conditionals(params, machine, spec)).sum())
 
 
-def _free_layout(params: ModelParams) -> list[int]:
-    """Gauge-fixed coordinate order: classes without the pinned one, then t1, t2."""
-    K = params.collapsed.size
-    return [k for k in range(K) if k != params.pinned] + [K, K + 1]
-
-
 def gradient_hessian(stats: StateStats, params: ModelParams, machine: Machine,
                      spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and (negative semidefinite) hessian of the log-likelihood.
 
-    Coordinates follow :func:`_free_layout`: per-class weights with the pinned
-    coordinate removed, then the two transition boosts. With ``V`` the
-    conditional distributions (one row per state), ``B_i`` the boost masks,
-    ``R = n - cV`` and ``W_i = rowsum(V B_i)``, the gradient is ``(colsum R,
-    sum R B_i)`` and the curvature blocks are ``diag(sum cV) - V'cV``, ``sum
-    cV B_i - (cV)'W_i`` and ``diag(sum cW) - W'cW``.
+    The K+2 coordinates are the per-class weights in class order, then the
+    two transition boosts. With ``V`` the conditional distributions (one row
+    per state), ``B_i`` the boost masks, ``R = n - cV`` and ``W_i = rowsum(V
+    B_i)``, the gradient is ``(colsum R, sum R B_i)`` and the curvature
+    blocks are ``diag(sum cV) - V'cV``, ``sum cV B_i - (cV)'W_i`` and
+    ``diag(sum cW) - W'cW``. Adding one constant to every class weight leaves
+    each conditional unchanged, so the class gradient sums to zero and the
+    hessian maps the class shift ``(1, ..., 1, 0, 0)`` to zero: the gauge
+    that :func:`fit` fixes by holding the pinned class.
     """
     masks = machine.boost_masks(spec, stats.collapsed)
     V = np.exp(log_conditionals(params.u, params.t1, params.t2, masks))
@@ -350,8 +347,7 @@ def gradient_hessian(stats: StateStats, params: ModelParams, machine: Machine,
     cross = (cV * masks).sum(axis=1).T - cV.T @ W
     curv = np.block([[np.diag(cV.sum(axis=0)) - V.T @ cV, cross],
                      [cross.T, np.diag(cW.sum(axis=0)) - W.T @ cW]])
-    layout = _free_layout(params)
-    return grad[layout], -curv[np.ix_(layout, layout)]
+    return grad, -curv
 
 
 # --- fitting --------------------------------------------------------------------
@@ -414,8 +410,7 @@ def fit_independence(dataset: Dataset,
                                              closed_form=True))]
 
 
-def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
-        grad_tol: float = GRAD_TOL) -> ModelParams:
+def fit(machine: Machine, spec: PartitionSpec, stats: StateStats) -> ModelParams:
     """Maximize the likelihood inside the box.
 
     All weights live in ``[-T_CAP, T_CAP]``; classes with zero total count are
@@ -423,7 +418,11 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     boost with an empty edge set stays at zero. With both edge sets empty the
     maximum has a closed form; otherwise damped Newton steps are backtracked
     until the likelihood is non-decreasing, and convergence is a small
-    projected gradient. The result is a deterministic function of the inputs.
+    projected gradient. The steps move the K+2 coordinates of
+    :func:`gradient_hessian`; the pinned class is frozen at zero like a
+    floored class, which takes the hessian's null direction, the class
+    shift, out of every Newton system. The result is a deterministic
+    function of the inputs.
     """
     collapsed = stats.collapsed
     K = collapsed.size
@@ -431,22 +430,16 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
     u, pinned = _class_weights([collapsed], totals, closed_form=spec.is_empty)[0]
     if spec.is_empty:
         return ModelParams(collapsed, u, 0.0, 0.0, pinned)
-    x = np.concatenate([u, [0.0, 0.0]])  # full layout: classes then t1, t2
+    x = np.concatenate([u, [0.0, 0.0]])
 
     def make_params(vec: np.ndarray) -> ModelParams:
         return ModelParams(collapsed, vec[:K].copy(), float(vec[K]), float(vec[K + 1]), pinned)
 
-    params = make_params(x)
-    layout = _free_layout(params)
-    # coordinates allowed to move: observed classes, boosts with edges
-    movable = np.zeros(K + 2, dtype=bool)
-    movable[:K] = totals > 0
+    # coordinates allowed to move: observed classes but the pinned one, boosts with edges
+    movable = np.concatenate([totals > 0, [bool(spec.c1), bool(spec.c2)]])
     movable[pinned] = False
-    movable[K] = bool(spec.c1)
-    movable[K + 1] = bool(spec.c2)
-    movable_in_layout = movable[layout]
 
-    ll = log_likelihood(stats, params, machine, spec)
+    ll = log_likelihood(stats, make_params(x), machine, spec)
     if not np.isfinite(ll):
         raise NumericalFitError("non-finite likelihood at the starting point")
 
@@ -454,31 +447,24 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats,
         grad, hess = gradient_hessian(stats, make_params(x), machine, spec)
         if not np.all(np.isfinite(grad)):
             raise NumericalFitError("non-finite gradient during fitting")
-        xl = x[layout]
-        free = movable_in_layout.copy()
         # freeze coordinates pressed outward against the box
-        free &= ~((xl >= T_CAP) & (grad > 0)) & ~((xl <= -T_CAP) & (grad < 0))
-        if not free.any() or float(np.abs(grad[free]).max()) < grad_tol:
+        free = movable & ~((x >= T_CAP) & (grad > 0)) & ~((x <= -T_CAP) & (grad < 0))
+        if not free.any() or float(np.abs(grad[free]).max()) < GRAD_TOL:
             break
-        sub = np.ix_(free, free)
-        step = np.linalg.solve(-hess[sub] + RIDGE * np.eye(int(free.sum())), grad[free])
-
+        step = np.linalg.solve(-hess[np.ix_(free, free)] + RIDGE * np.eye(int(free.sum())),
+                               grad[free])
         alpha = 1.0
-        improved = False
         while alpha > 1e-12:
-            trial = xl.copy()
-            trial[free] = np.clip(trial[free] + alpha * step, -T_CAP, T_CAP)
             x_new = x.copy()
-            x_new[layout] = trial
+            x_new[free] = np.clip(x[free] + alpha * step, -T_CAP, T_CAP)
             ll_new = log_likelihood(stats, make_params(x_new), machine, spec)
             if not np.isfinite(ll_new):
                 raise NumericalFitError("non-finite likelihood during line search")
             if ll_new >= ll:
                 x, ll = x_new, ll_new
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
+        else:
             break  # stationary under the box constraints
 
     return make_params(x)

@@ -297,14 +297,10 @@ def newton_independence(machine: Machine, stats: StateStats,
     u[observed] = np.log(totals[observed] / totals[pinned])
     free = observed.copy()
     free[pinned] = False
-    # gradient_hessian orders its coordinates as the classes but the pinned one
-    free_in_layout = np.delete(free, pinned)
     for _ in range(50):
         params = ModelParams(collapsed, u.copy(), 0.0, 0.0, pinned)
         grad, hess = gradient_hessian(stats, params, machine, EMPTY_SPEC)
-        grad, hess = grad[:-2][free_in_layout], hess[:-2, :-2][np.ix_(free_in_layout,
-                                                                     free_in_layout)]
-        step = np.linalg.solve(-hess, grad)
+        step = np.linalg.solve(-hess[:-2, :-2][np.ix_(free, free)], grad[:-2][free])
         u[free] += step
         if not step.size or np.abs(step).max() < 1e-15:
             break

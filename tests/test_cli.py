@@ -446,6 +446,20 @@ class TestExplainCommand:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1] == "{}"
 
+    def test_corpus_without_events_notes_that_no_model_was_fitted(self, workspace, tmp_path,
+                                                                    capsys):
+        # on a corpus with events the prefix splits of a-b-c-d boost edges, so
+        # the independence note would be false; here nothing is evaluated
+        root, _, eps = workspace
+        blank = tmp_path / "blank.txt"
+        blank.write_text("\n\n")
+        assert main(["explain", "--data", str(blank), "--episodes", str(eps),
+                     "--id", "planted4"]) == 0
+        text = capsys.readouterr().out
+        assert "note: the corpus has no events, so no model was fitted" in text
+        assert "equals the independence model" not in text
+        assert "\nmodel " not in text
+
     def test_model_lines_carry_boosted_edge_sets(self, workspace, capsys):
         # the diamond: each prefix model boosts C1 = block_prefix(W) and
         # C2 = block_prefix(full ^ W), printed as the machine's edge numbers
@@ -617,13 +631,20 @@ class TestExitCodes:
         '{"labels": ["a", "b"], "edges": []}',  # no id
         '{"id": "x", "labels": ["a", "b"], "edges": [[0]]}',
         '{"id": "x", "labels": ["a", "b"], "edges": [[0, 1, 2]]}',
+        # labels other than strings: numbers used to die in vertex_set_label
+        # with a TypeError, and a string was ranked as the episode of its letters
+        '{"id": "x", "labels": [1, 2], "edges": [[0, 1]]}',
+        '{"id": "x", "labels": ["a", 2], "edges": [[0, 1]]}',
+        '{"id": "x", "labels": "ab", "edges": []}',
     ])
     def test_malformed_episode_record_is_data_error(self, workspace, tmp_path, capsys, record):
         root, corpus, _ = workspace
         bad = tmp_path / "bad.jsonl"
         bad.write_text(record + "\n")
-        assert main(_rank_args(corpus, bad, tmp_path / "out.tsv")) == 2
-        assert f"{bad}:1: malformed episode record" in capsys.readouterr().err
+        for argv in (_rank_args(corpus, bad, tmp_path / "out.tsv"),
+                     ["explain", "--data", str(corpus), "--episodes", str(bad), "--id", "x"]):
+            assert main(argv) == 2
+            assert f"{bad}:1: malformed episode record" in capsys.readouterr().err
 
     def test_episode_without_labels_is_data_error(self, workspace, tmp_path, capsys):
         # every sequence covers it, so no model could rank it

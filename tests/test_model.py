@@ -17,6 +17,7 @@ from episoderank.model import (
     EMPTY_SPEC,
     GRAD_TOL,
     MAX_ITER,
+    T_CAP,
     CollapsedAlphabet,
     ModelParams,
     NumericalFitError,
@@ -314,18 +315,14 @@ class TestGradientHessian:
             m, spec, stats = random_instance(rng)
             params = random_params(rng, stats.collapsed)
             grad, hess = gradient_hessian(stats, params, m, spec)
-            layout = [k for k in range(stats.collapsed.size) if k != params.pinned]
             h = 1e-5
 
             def ll(tweak):
-                u = params.u.copy()
-                for pos, k in enumerate(layout):
-                    u[k] += tweak[pos]
-                p = ModelParams(stats.collapsed, u, params.t1 + tweak[-2],
+                p = ModelParams(stats.collapsed, params.u + tweak[:-2], params.t1 + tweak[-2],
                                 params.t2 + tweak[-1], params.pinned)
                 return log_likelihood(stats, p, m, spec)
 
-            dim = len(layout) + 2
+            dim = len(grad)
             fd = np.zeros(dim)
             for i in range(dim):
                 e = np.zeros(dim)
@@ -354,16 +351,13 @@ class TestGradientHessian:
             m, spec, stats = random_instance(rng)
             params = random_params(rng, stats.collapsed)
             _, hess = gradient_hessian(stats, params, m, spec)
-            layout = [k for k in range(stats.collapsed.size) if k != params.pinned]
 
             def grad_at(tweak):
-                u = params.u.copy()
-                u[layout] += tweak[:-2]
-                p = ModelParams(stats.collapsed, u, params.t1 + tweak[-2],
+                p = ModelParams(stats.collapsed, params.u + tweak[:-2], params.t1 + tweak[-2],
                                 params.t2 + tweak[-1], params.pinned)
                 return gradient_hessian(stats, p, m, spec)[0]
 
-            dim = len(layout) + 2
+            dim = len(hess)
             fd = np.zeros((dim, dim))
             for i in range(dim):
                 e = np.zeros(dim)
@@ -379,8 +373,37 @@ class TestGradientHessian:
             _, hess = gradient_hessian(stats, params, m, spec)
             assert np.linalg.eigvalsh(hess).max() <= 1e-8
 
+    def test_class_shift_is_a_null_direction(self):
+        # adding one constant to every class weight changes no conditional
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            m, spec, stats = random_instance(rng)
+            params = random_params(rng, stats.collapsed, t_scale=2.0)
+            grad, hess = gradient_hessian(stats, params, m, spec)
+            K = stats.collapsed.size
+            shift = np.concatenate([np.ones(K), [0.0, 0.0]])
+            assert abs(grad[:K].sum()) <= 1e-12 * stats.c.sum()
+            assert np.abs(hess @ shift).max() <= 1e-12 * stats.c.sum()
+
 
 class TestFit:
+    def test_boosted_fit_holds_the_pinned_class_and_the_floor(self):
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            m, spec, stats = random_instance(rng)
+            assert not spec.is_empty
+            col = stats.collapsed
+            # a label class that never occurs, then the catch-all class, whose
+            # absence moves the gauge to the first label class with events
+            for absent in (0, col.star):
+                n = stats.n.copy()
+                n[:, absent] = 0.0
+                params = fit(m, spec, StateStats(col, n.sum(axis=1), n))
+                zero = n.sum(axis=0) == 0
+                assert params.pinned == (col.star if absent != col.star else 0)
+                assert params.u[params.pinned] == 0.0
+                assert np.all(params.u[zero] == -T_CAP)
+
     def test_independence_recovers_empirical(self):
         ds = dataset_from_strings(["ab", "ba", "aab", "bb", "ab"])
         ep = serial("ab")
@@ -514,7 +537,7 @@ class TestIndependenceClosedForm:
             stats = collect_statistics(m, dataset, collapsed)[0]
             params = fit(m, EMPTY_SPEC, stats)
             grad, _ = gradient_hessian(stats, params, m, EMPTY_SPEC)
-            observed = np.delete(stats.n.sum(axis=0) > 0, params.pinned)
+            observed = stats.n.sum(axis=0) > 0
             # floored classes may only press against the floor
             assert np.abs(grad[:-2][observed]).max() < 1e-9 * stats.c.sum()
             assert np.all(grad[:-2][~observed] <= 0.0)
@@ -693,7 +716,7 @@ class TestCollapseEquivalence:
             spec = PartitionSpec(frozenset([1]), frozenset())  # boost b after a
             results = []
             for s in (EMPTY_SPEC, spec):
-                params = fit(m, s, stats, grad_tol=1e-12)
+                params = fit(m, s, stats)
                 results.append(rank(m, params, s, ds, observed))
             if collapsed.star == 2:
                 base = results
