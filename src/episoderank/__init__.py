@@ -36,7 +36,6 @@ from .model import (
 from .ranking import (
     RankResult,
     kendall_tau,
-    rank,
     rank_episode,
     rank_many,
     rho_eta,

@@ -268,12 +268,22 @@ def save_episodes(items: Iterable[tuple[str, Episode]], path: str) -> None:
             fh.write(episode_line(eid, episode))
 
 
+def _index_pair(edge) -> tuple[int, int]:
+    """An edge of an episode record: a list of two ints (a bool is no index)."""
+    if not (isinstance(edge, list) and len(edge) == 2 and all(type(v) is int for v in edge)):
+        raise TypeError(f"an edge must be two vertex indices, not {edge!r}")
+    return edge[0], edge[1]
+
+
 def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Episode]]:
     """Read a JSON-lines episode file; close, validate and canonicalize.
 
-    A record whose labels are not a non-empty list of strings is rejected.
-    Non-strict episodes are rejected unless ``auto_strictify`` is set, in
-    which case unordered equal-label vertices are chained.
+    A record is rejected unless its id is a string without tabs or any line
+    break ``str.splitlines`` knows (it is the first column of a report row,
+    which ``ranking.parse_report`` reads back), its labels a non-empty list
+    of strings and every edge a list of two ints. Non-strict episodes are
+    rejected unless ``auto_strictify`` is set, in which case unordered
+    equal-label vertices are chained.
     """
     out: list[tuple[str, Episode]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -283,11 +293,12 @@ def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Ep
                 continue
             try:
                 obj = json.loads(line)
-                eid = str(obj["id"])
-                labels = obj["labels"]
+                eid, labels = obj["id"], obj["labels"]
+                if not isinstance(eid, str) or "\t" in eid or "".join(eid.splitlines()) != eid:
+                    raise TypeError(f"id must be a string without tabs or line breaks, not {eid!r}")
                 if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
                     raise TypeError(f"labels must be a list of strings, not {labels!r}")
-                episode = make_episode(labels, [(u, v) for u, v in obj["edges"]])
+                episode = make_episode(labels, [_index_pair(edge) for edge in obj["edges"]])
             except (KeyError, TypeError, ValueError) as exc:  # EpisodeError is a ValueError
                 raise EpisodeError(f"{path}:{lineno}: malformed episode record: {exc}") from None
             if not episode.n:  # every sequence would cover it, whatever the model
@@ -295,7 +306,7 @@ def load_episodes(path: str, auto_strictify: bool = False) -> list[tuple[str, Ep
             if not is_strict(episode):
                 if not auto_strictify:
                     raise StrictnessError(
-                        f"{path}:{lineno}: episode {obj.get('id')!r} is not strict "
+                        f"{path}:{lineno}: episode {eid!r} is not strict "
                         "(use --strictify to repair)")
                 episode = strictify(episode)
             out.append((eid, episode))

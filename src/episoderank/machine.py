@@ -40,7 +40,8 @@ class MachineEdge:
 
 
 class Machine:
-    """Immutable automaton for one strict episode."""
+    """Automaton for one strict episode. It caches nothing: the edge classes
+    and boost masks are computed on each call, which a fit makes once."""
 
     def __init__(self, episode: Episode, states: list[int], edges: list[MachineEdge]):
         self.episode = episode
@@ -50,41 +51,24 @@ class Machine:
         self.sink = len(states) - 1
         self.edge_src = np.array([e.src for e in edges], dtype=np.intp)
         self.edge_dst = np.array([e.dst for e in edges], dtype=np.intp)
-        self._edge_classes: tuple[object, np.ndarray] | None = None
-        self._boost_masks: tuple[object, object, np.ndarray] | None = None
 
     @property
     def num_states(self) -> int:
         return len(self.states)
 
     def edge_classes(self, collapsed) -> np.ndarray:
-        """Read-only model class of every edge label under a collapsed alphabet.
-
-        Kept for the last alphabet asked: one episode is ranked under one
-        collapsed alphabet, and its walk and every model fitted to it read
-        these classes.
-        """
-        cached = self._edge_classes
-        if cached is None or cached[0] is not collapsed:
-            edge_cls = np.array([collapsed.class_of(e.label) for e in self.edges], dtype=np.intp)
-            edge_cls.flags.writeable = False
-            self._edge_classes = cached = (collapsed, edge_cls)
-        return cached[1]
+        """Model class of every edge label under a collapsed alphabet."""
+        return np.array([collapsed.class_of(e.label) for e in self.edges], dtype=np.intp)
 
     def boost_masks(self, spec, collapsed) -> np.ndarray:
-        """Read-only ``bool[2, S, K]``: True where state H has an outgoing edge
-        labelled k in C1 (layer 0) or C2 (layer 1). Kept for the last spec and
-        alphabet asked, which a fit reads at every likelihood evaluation."""
-        cached = self._boost_masks
-        if cached is None or cached[0] is not spec or cached[1] is not collapsed:
-            edge_cls = self.edge_classes(collapsed)
-            masks = np.zeros((2, self.num_states, collapsed.size), dtype=bool)
-            for layer, edge_set in enumerate((spec.c1, spec.c2)):
-                idx = list(edge_set)
-                masks[layer, self.edge_src[idx], edge_cls[idx]] = True
-            masks.flags.writeable = False
-            self._boost_masks = cached = (spec, collapsed, masks)
-        return cached[2]
+        """``bool[2, S, K]``: True where state H has an outgoing edge labelled
+        k in C1 (layer 0) or C2 (layer 1)."""
+        edge_cls = self.edge_classes(collapsed)
+        masks = np.zeros((2, self.num_states, collapsed.size), dtype=bool)
+        for layer, edge_set in enumerate((spec.c1, spec.c2)):
+            idx = list(edge_set)
+            masks[layer, self.edge_src[idx], edge_cls[idx]] = True
+        return masks
 
 
 def build_machine(episode: Episode) -> Machine:

@@ -309,36 +309,30 @@ def _log_normalize(z: np.ndarray) -> np.ndarray:
     return shifted - np.log1p(rest.sum(axis=1, keepdims=True))
 
 
-def _model_log_conditionals(params: ModelParams, machine: Machine,
-                            spec: PartitionSpec) -> np.ndarray:
-    return log_conditionals(params.u, params.t1, params.t2,
-                            machine.boost_masks(spec, params.collapsed))
-
-
 # --- likelihood, gradient, hessian ---------------------------------------------
 
-def log_likelihood(stats: StateStats, params: ModelParams, machine: Machine,
-                   spec: PartitionSpec) -> float:
-    """Sum over states of ``n . log p(. | H)``."""
-    return float((stats.n * _model_log_conditionals(params, machine, spec)).sum())
+def log_likelihood(stats: StateStats, x: np.ndarray, masks: np.ndarray) -> float:
+    """Sum over states of ``n . log p(. | H)`` at the K+2 coordinates ``x``:
+    the per-class weights in class order, then the two transition boosts.
+    ``masks`` is ``Machine.boost_masks(spec, collapsed)``."""
+    return float((stats.n * log_conditionals(x[:-2], x[-2], x[-1], masks)).sum())
 
 
-def gradient_hessian(stats: StateStats, params: ModelParams, machine: Machine,
-                     spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
+def gradient_hessian(stats: StateStats, x: np.ndarray,
+                     masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and (negative semidefinite) hessian of the log-likelihood.
 
-    The K+2 coordinates are the per-class weights in class order, then the
-    two transition boosts. With ``V`` the conditional distributions (one row
-    per state), ``B_i`` the boost masks, ``R = n - cV`` and ``W_i = rowsum(V
-    B_i)``, the gradient is ``(colsum R, sum R B_i)`` and the curvature
-    blocks are ``diag(sum cV) - V'cV``, ``sum cV B_i - (cV)'W_i`` and
+    Takes the ``x`` and ``masks`` of :func:`log_likelihood` and answers in
+    the same K+2 coordinates. With ``V`` the conditional distributions (one
+    row per state), ``B_i`` the boost masks, ``R = n - cV`` and ``W_i =
+    rowsum(V B_i)``, the gradient is ``(colsum R, sum R B_i)`` and the
+    curvature blocks are ``diag(sum cV) - V'cV``, ``sum cV B_i - (cV)'W_i`` and
     ``diag(sum cW) - W'cW``. Adding one constant to every class weight leaves
     each conditional unchanged, so the class gradient sums to zero and the
     hessian maps the class shift ``(1, ..., 1, 0, 0)`` to zero: the gauge
     that :func:`fit` fixes by holding the pinned class.
     """
-    masks = machine.boost_masks(spec, stats.collapsed)
-    V = np.exp(log_conditionals(params.u, params.t1, params.t2, masks))
+    V = np.exp(log_conditionals(x[:-2], x[-2], x[-1], masks))
     cV = stats.c[:, None] * V
     R = stats.n - cV
     W = (V * masks).sum(axis=2).T  # [S, 2] boosted mass per state
@@ -418,11 +412,12 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats) -> ModelParams
     boost with an empty edge set stays at zero. With both edge sets empty the
     maximum has a closed form; otherwise damped Newton steps are backtracked
     until the likelihood is non-decreasing, and convergence is a small
-    projected gradient. The steps move the K+2 coordinates of
-    :func:`gradient_hessian`; the pinned class is frozen at zero like a
-    floored class, which takes the hessian's null direction, the class
-    shift, out of every Newton system. The result is a deterministic
-    function of the inputs.
+    projected gradient. The boost masks are built once, and the iteration
+    moves one vector of the K+2 coordinates of :func:`log_likelihood` and
+    :func:`gradient_hessian`, turned into a :class:`ModelParams` only on
+    return. The pinned class is frozen at zero like a floored class, which
+    takes the hessian's null direction, the class shift, out of every Newton
+    system. The result is a deterministic function of the inputs.
     """
     collapsed = stats.collapsed
     K = collapsed.size
@@ -430,21 +425,19 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats) -> ModelParams
     u, pinned = _class_weights([collapsed], totals, closed_form=spec.is_empty)[0]
     if spec.is_empty:
         return ModelParams(collapsed, u, 0.0, 0.0, pinned)
+    masks = machine.boost_masks(spec, collapsed)
     x = np.concatenate([u, [0.0, 0.0]])
-
-    def make_params(vec: np.ndarray) -> ModelParams:
-        return ModelParams(collapsed, vec[:K].copy(), float(vec[K]), float(vec[K + 1]), pinned)
 
     # coordinates allowed to move: observed classes but the pinned one, boosts with edges
     movable = np.concatenate([totals > 0, [bool(spec.c1), bool(spec.c2)]])
     movable[pinned] = False
 
-    ll = log_likelihood(stats, make_params(x), machine, spec)
+    ll = log_likelihood(stats, x, masks)
     if not np.isfinite(ll):
         raise NumericalFitError("non-finite likelihood at the starting point")
 
     for _ in range(MAX_ITER):
-        grad, hess = gradient_hessian(stats, make_params(x), machine, spec)
+        grad, hess = gradient_hessian(stats, x, masks)
         if not np.all(np.isfinite(grad)):
             raise NumericalFitError("non-finite gradient during fitting")
         # freeze coordinates pressed outward against the box
@@ -457,7 +450,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats) -> ModelParams
         while alpha > 1e-12:
             x_new = x.copy()
             x_new[free] = np.clip(x[free] + alpha * step, -T_CAP, T_CAP)
-            ll_new = log_likelihood(stats, make_params(x_new), machine, spec)
+            ll_new = log_likelihood(stats, x_new, masks)
             if not np.isfinite(ll_new):
                 raise NumericalFitError("non-finite likelihood during line search")
             if ll_new >= ll:
@@ -467,7 +460,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats) -> ModelParams
         else:
             break  # stationary under the box constraints
 
-    return make_params(x)
+    return ModelParams(collapsed, x[:K], float(x[K]), float(x[K + 1]), pinned)
 
 
 # --- reach probabilities ----------------------------------------------------------
@@ -494,7 +487,8 @@ def transition_rates(machine: Machine | MachineUnion, params,
             plain.setdefault(p.collapsed.size, []).append(i)
         else:
             on = union.edge_member == i
-            edge_p[on] = np.exp(_model_log_conditionals(p, m, s)[m.edge_src, edge_cls[on]])
+            log_p = log_conditionals(p.u, p.t1, p.t2, m.boost_masks(s, p.collapsed))
+            edge_p[on] = np.exp(log_p[m.edge_src, edge_cls[on]])
     row = np.zeros(len(union.members), dtype=np.intp)  # member's row in its class count's batch
     for members in plain.values():
         row[members] = np.arange(len(members))

@@ -15,9 +15,9 @@ proper prefix split, every same-vertex stricter candidate), fitted one by one
 on its statistics. :func:`rank_models` is the one path from fitted models to
 ranks, called once per batch for every model of every episode: one reach pass
 over the union that keeps the sink column at the corpus's sequence lengths
-only, then one tail call for the members of each tail method; :func:`rank` is
-its call for one model. The combined rank is the lowest over an episode's
-family. An episode's numbers do not depend on the batch it shares.
+only, then one tail call for the members of each tail method. The combined
+rank is the lowest over an episode's family. An episode's numbers do not
+depend on the batch it shares.
 """
 
 from __future__ import annotations
@@ -336,13 +336,6 @@ def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[Part
                 log_surv.tolist(), explainers)]
 
 
-def rank(machine: Machine, params: ModelParams, spec: PartitionSpec, dataset: Dataset,
-         observed: int, exact: bool = False, explainer: str = INDEPENDENCE) -> RankResult:
-    """Rank the observed support against one fitted model (see :func:`rank_models`)."""
-    return rank_models(MachineUnion([machine]), [params], [spec], dataset, [observed],
-                       [explainer], exact)[0]
-
-
 @dataclass
 class SpecEvaluation:
     explainer: str
@@ -625,14 +618,17 @@ def render_report(rows: list[EpisodeRanking], header_lines: list[str] = (),
 
 def parse_report(text: str) -> list[dict]:
     """Read back the TSV produced by :func:`render_report`; DataError if the
-    header lacks a report column, a row does not parse or repeats an id."""
+    header lacks a report column, a row does not parse or repeats an id.
+
+    An id may start with ``#``: after the header, a ``#`` line is a comment
+    only when it does not split into the header's columns."""
     rows = []
     ids: set[str] = set()
     header: list[str] | None = None
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line or line.startswith("#"):
-            continue
         parts = line.split("\t")
+        if not line or line.startswith("#") and (header is None or len(parts) != len(header)):
+            continue
         if header is None:
             missing = [col for col in REPORT_COLUMNS if col not in parts]
             if missing:

@@ -35,12 +35,13 @@ from episoderank.model import (
     ModelParams,
     PartitionSpec,
     StateStats,
+    MachineUnion,
     collapse_alphabet,
     gradient_hessian,
     log_conditionals,
     support,
 )
-from episoderank.ranking import RankResult, rank_episode
+from episoderank.ranking import INDEPENDENCE, RankResult, rank_episode, rank_models
 
 
 def rows(dataset: Dataset) -> list[list[int]]:
@@ -225,6 +226,12 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
     return StateStats(collapsed, np.array(c_acc, dtype=float), np.array(n_acc, dtype=float)), covered
 
 
+def coords(params: ModelParams) -> np.ndarray:
+    """The K+2 coordinates of ``params`` that the likelihood and its
+    derivatives take: the class weights, then t1 and t2."""
+    return np.concatenate([params.u, [params.t1, params.t2]])
+
+
 def _log_p(params: ModelParams, machine: Machine, spec: PartitionSpec) -> np.ndarray:
     return log_conditionals(params.u, params.t1, params.t2,
                             machine.boost_masks(spec, params.collapsed))
@@ -297,14 +304,22 @@ def newton_independence(machine: Machine, stats: StateStats,
     u[observed] = np.log(totals[observed] / totals[pinned])
     free = observed.copy()
     free[pinned] = False
+    masks = machine.boost_masks(EMPTY_SPEC, collapsed)
     for _ in range(50):
-        params = ModelParams(collapsed, u.copy(), 0.0, 0.0, pinned)
-        grad, hess = gradient_hessian(stats, params, machine, EMPTY_SPEC)
+        grad, hess = gradient_hessian(stats, np.concatenate([u, [0.0, 0.0]]), masks)
         step = np.linalg.solve(-hess[:-2, :-2][np.ix_(free, free)], grad[:-2][free])
         u[free] += step
         if not step.size or np.abs(step).max() < 1e-15:
             break
     return ModelParams(collapsed, u, 0.0, 0.0, pinned)
+
+
+def rank(machine: Machine, params: ModelParams, spec: PartitionSpec, dataset: Dataset,
+         observed: int, exact: bool = False, explainer: str = INDEPENDENCE) -> RankResult:
+    """Rank the observed support against one fitted model: the one-member call
+    of ``ranking.rank_models``."""
+    return rank_models(MachineUnion([machine]), [params], [spec], dataset, [observed],
+                       [explainer], exact)[0]
 
 
 def rank_combined(episode: Episode, dataset: Dataset,

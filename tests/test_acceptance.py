@@ -40,7 +40,6 @@ from episoderank.model import (
     transition_rates,
 )
 from episoderank.ranking import (
-    rank,
     rank_episode,
     rank_many,
     render_report,
@@ -55,6 +54,7 @@ from oracles import (
     brute_force_covers,
     covers,
     greedy,
+    rank,
     sequence_log_prob,
     transition_rates_from_probs,
 )
@@ -190,19 +190,16 @@ def test_criterion_5_gradient_and_concavity():
         rng.shuffle(edges)
         spec = PartitionSpec(frozenset(edges[: len(edges) // 2][:3]),
                              frozenset(edges[len(edges) // 2:][:3]))
-        from episoderank.model import ModelParams
+        masks = m.boost_masks(spec, col)
 
         for _ in range(10):
-            u = rng.normal(size=col.size)
-            u[col.star] = 0.0
-            params = ModelParams(col, u, float(rng.normal()), float(rng.normal()), col.star)
-            grad, hess = gradient_hessian(stats, params, m, spec)
+            x = np.concatenate([rng.normal(size=col.size), [rng.normal(), rng.normal()]])
+            x[col.star] = 0.0
+            grad, hess = gradient_hessian(stats, x, masks)
             h = 1e-5
 
             def ll(tweak):
-                p2 = ModelParams(col, params.u + tweak[:-2], params.t1 + tweak[-2],
-                                 params.t2 + tweak[-1], col.star)
-                return log_likelihood(stats, p2, m, spec)
+                return log_likelihood(stats, x + tweak, masks)
 
             dim = len(grad)
             fd = np.zeros(dim)

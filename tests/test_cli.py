@@ -408,6 +408,18 @@ class TestCompareCommand:
         first = rho_block.strip().splitlines()[1].split()[0]
         assert first == "pair-parallel"
 
+    def test_ids_starting_with_hash_are_compared(self, tmp_path, capsys):
+        # a mined label "#a" gives the ids "#a" and "#a-b|0<1", whose report
+        # rows start like the comment lines
+        corpus, mined, report = (tmp_path / name for name in ("c.txt", "m.jsonl", "r.tsv"))
+        corpus.write_text("#a b c\n#a b d\n#a b e\n")
+        assert main(["mine", "--data", str(corpus), "--min-support", "3", "--max-len", "2",
+                     "--max-size", "0", "--out", str(mined)]) == 0
+        assert main(_rank_args(corpus, mined, report)) == 0
+        capsys.readouterr()
+        assert main(["compare", str(report), str(report)]) == 0
+        assert "ids\t3\n" in capsys.readouterr().out
+
     def test_disjoint_ids_error(self, workspace, tmp_path, capsys):
         root, corpus, eps = workspace
         report = root / "cmp1.tsv"
@@ -636,6 +648,12 @@ class TestExitCodes:
         '{"id": "x", "labels": [1, 2], "edges": [[0, 1]]}',
         '{"id": "x", "labels": ["a", 2], "edges": [[0, 1]]}',
         '{"id": "x", "labels": "ab", "edges": []}',
+        # read leniently, a bool edge end is the index 1, a number id its
+        # digits, and a tab or line break in an id splits its report row
+        '{"id": "x", "labels": ["a", "b"], "edges": [[true, 0]]}',
+        '{"id": 7, "labels": ["a", "b"], "edges": [[0, 1]]}',
+        '{"id": "x\\ty", "labels": ["a", "b"], "edges": [[0, 1]]}',
+        '{"id": "x\\u2028y", "labels": ["a", "b"], "edges": [[0, 1]]}',
     ])
     def test_malformed_episode_record_is_data_error(self, workspace, tmp_path, capsys, record):
         root, corpus, _ = workspace

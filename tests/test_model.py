@@ -12,7 +12,7 @@ from episoderank.datagen import (
 )
 from episoderank import model
 from episoderank.episodes import make_episode, parallel, serial, strictify
-from episoderank.machine import block_prefix, block_super, build_machine
+from episoderank.machine import Machine, block_prefix, block_super, build_machine
 from episoderank.model import (
     EMPTY_SPEC,
     GRAD_TOL,
@@ -38,9 +38,11 @@ from episoderank.model import (
 from conftest import dataset_from_strings, random_strict_episode
 from oracles import (
     conditional_label_prob,
+    coords,
     greedy,
     identity_collapse,
     newton_independence,
+    rank,
     reach_table_by_add_at,
     sequence_log_prob,
     sequential_statistics,
@@ -281,8 +283,8 @@ class TestLikelihood:
         m = build_machine(serial("a"))
         col = CollapsedAlphabet(("a", "*"), 1, {"a": 0})
         stats = StateStats(col, np.zeros(2), np.zeros((2, 2)))
-        params = ModelParams(col, np.array([1.0, 0.0]), 0.0, 0.0, 1)
-        assert log_likelihood(stats, params, m, EMPTY_SPEC) == 0.0
+        x = np.array([1.0, 0.0, 0.0, 0.0])
+        assert log_likelihood(stats, x, m.boost_masks(EMPTY_SPEC, col)) == 0.0
 
     def test_single_state_closed_form(self):
         m = build_machine(serial("a"))
@@ -290,9 +292,10 @@ class TestLikelihood:
         n = np.zeros((2, 2))
         n[0] = [3.0, 1.0]
         stats = StateStats(col, n.sum(axis=1), n)
-        params = ModelParams(col, np.array([math.log(3.0), 0.0]), 0.0, 0.0, 1)
+        x = np.array([math.log(3.0), 0.0, 0.0, 0.0])
         expected = 3 * math.log(0.75) + math.log(0.25)
-        assert log_likelihood(stats, params, m, EMPTY_SPEC) == pytest.approx(expected, abs=1e-12)
+        ll = log_likelihood(stats, x, m.boost_masks(EMPTY_SPEC, col))
+        assert ll == pytest.approx(expected, abs=1e-12)
 
     def test_matches_eventwise_evaluation(self):
         rng = np.random.default_rng(4)
@@ -305,7 +308,8 @@ class TestLikelihood:
         spec = PartitionSpec(frozenset([0]), frozenset([1]))
         params = random_params(rng, col)
         eventwise = sum(sequence_log_prob(m, params, spec, seq) for seq in symbol_rows(ds))
-        assert log_likelihood(stats, params, m, spec) == pytest.approx(eventwise, abs=1e-9)
+        ll = log_likelihood(stats, coords(params), m.boost_masks(spec, col))
+        assert ll == pytest.approx(eventwise, abs=1e-9)
 
 
 class TestGradientHessian:
@@ -313,14 +317,13 @@ class TestGradientHessian:
         rng = np.random.default_rng(6)
         for _ in range(10):
             m, spec, stats = random_instance(rng)
-            params = random_params(rng, stats.collapsed)
-            grad, hess = gradient_hessian(stats, params, m, spec)
+            x = coords(random_params(rng, stats.collapsed))
+            masks = m.boost_masks(spec, stats.collapsed)
+            grad, hess = gradient_hessian(stats, x, masks)
             h = 1e-5
 
             def ll(tweak):
-                p = ModelParams(stats.collapsed, params.u + tweak[:-2], params.t1 + tweak[-2],
-                                params.t2 + tweak[-1], params.pinned)
-                return log_likelihood(stats, p, m, spec)
+                return log_likelihood(stats, x + tweak, masks)
 
             dim = len(grad)
             fd = np.zeros(dim)
@@ -340,8 +343,8 @@ class TestGradientHessian:
         u = np.full(col.size, -25.0)
         nz = totals > 0
         u[nz] = np.log(totals[nz]) - np.log(totals[0])
-        params = ModelParams(col, u, 0.0, 0.0, 0)
-        grad, _ = gradient_hessian(stats, params, m, EMPTY_SPEC)
+        x = np.concatenate([u, [0.0, 0.0]])
+        grad, _ = gradient_hessian(stats, x, m.boost_masks(EMPTY_SPEC, col))
         assert np.abs(grad[:-2]).max() < 1e-9
 
     def test_hessian_matches_central_differences_of_gradient(self):
@@ -349,13 +352,12 @@ class TestGradientHessian:
         h = 1e-6
         for _ in range(20):
             m, spec, stats = random_instance(rng)
-            params = random_params(rng, stats.collapsed)
-            _, hess = gradient_hessian(stats, params, m, spec)
+            x = coords(random_params(rng, stats.collapsed))
+            masks = m.boost_masks(spec, stats.collapsed)
+            _, hess = gradient_hessian(stats, x, masks)
 
             def grad_at(tweak):
-                p = ModelParams(stats.collapsed, params.u + tweak[:-2], params.t1 + tweak[-2],
-                                params.t2 + tweak[-1], params.pinned)
-                return gradient_hessian(stats, p, m, spec)[0]
+                return gradient_hessian(stats, x + tweak, masks)[0]
 
             dim = len(hess)
             fd = np.zeros((dim, dim))
@@ -369,8 +371,8 @@ class TestGradientHessian:
         rng = np.random.default_rng(16)
         for _ in range(20):
             m, spec, stats = random_instance(rng)
-            params = random_params(rng, stats.collapsed, t_scale=2.0)
-            _, hess = gradient_hessian(stats, params, m, spec)
+            x = coords(random_params(rng, stats.collapsed, t_scale=2.0))
+            _, hess = gradient_hessian(stats, x, m.boost_masks(spec, stats.collapsed))
             assert np.linalg.eigvalsh(hess).max() <= 1e-8
 
     def test_class_shift_is_a_null_direction(self):
@@ -378,12 +380,16 @@ class TestGradientHessian:
         rng = np.random.default_rng(27)
         for _ in range(20):
             m, spec, stats = random_instance(rng)
-            params = random_params(rng, stats.collapsed, t_scale=2.0)
-            grad, hess = gradient_hessian(stats, params, m, spec)
+            x = coords(random_params(rng, stats.collapsed, t_scale=2.0))
+            masks = m.boost_masks(spec, stats.collapsed)
+            grad, hess = gradient_hessian(stats, x, masks)
             K = stats.collapsed.size
             shift = np.concatenate([np.ones(K), [0.0, 0.0]])
             assert abs(grad[:K].sum()) <= 1e-12 * stats.c.sum()
             assert np.abs(hess @ shift).max() <= 1e-12 * stats.c.sum()
+            c = rng.normal(scale=2.0)
+            assert (abs(log_likelihood(stats, x + c * shift, masks)
+                        - log_likelihood(stats, x, masks)) <= 1e-12 * stats.c.sum())
 
 
 class TestFit:
@@ -417,7 +423,8 @@ class TestFit:
         # the independence likelihood in closed form
         nz = totals > 0
         expected_ll = float((totals[nz] * np.log(freq[nz])).sum())
-        assert log_likelihood(stats, params, m, EMPTY_SPEC) == pytest.approx(expected_ll)
+        masks = m.boost_masks(EMPTY_SPEC, stats.collapsed)
+        assert log_likelihood(stats, coords(params), masks) == pytest.approx(expected_ll)
 
     def test_gapless_inner_edges_saturate_t1(self):
         rng = np.random.default_rng(7)
@@ -444,11 +451,13 @@ class TestFit:
             ep = random_strict_episode(rng, "abc", 4)
             m = build_machine(ep)
             stats = collect_statistics(m, ds)[0]
-            base = log_likelihood(stats, fit(m, EMPTY_SPEC, stats), m, EMPTY_SPEC)
+            base = log_likelihood(stats, coords(fit(m, EMPTY_SPEC, stats)),
+                                  m.boost_masks(EMPTY_SPEC, stats.collapsed))
             edges = list(range(len(m.edges)))
             rng.shuffle(edges)
             spec = PartitionSpec(frozenset(edges[: len(edges) // 2]), frozenset())
-            fitted = log_likelihood(stats, fit(m, spec, stats), m, spec)
+            fitted = log_likelihood(stats, coords(fit(m, spec, stats)),
+                                    m.boost_masks(spec, stats.collapsed))
             assert fitted >= base - 1e-9
 
     def test_deterministic(self):
@@ -484,8 +493,32 @@ class TestFit:
         monkeypatch.setattr(model, "gradient_hessian", counting)
         params = fit(m, spec, stats)
         assert len(calls) < MAX_ITER
-        grad, _ = original(stats, params, m, spec)
+        grad, _ = original(stats, coords(params), m.boost_masks(spec, col))
         assert np.abs(grad).max() < GRAD_TOL
+
+    def test_boosted_fit_builds_its_masks_once(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        m, spec, stats = random_instance(rng)
+        calls = []
+        original = Machine.boost_masks
+
+        def counting(self, *args):
+            calls.append(1)
+            return original(self, *args)
+
+        monkeypatch.setattr(Machine, "boost_masks", counting)
+        iterations = []
+        newton = model.gradient_hessian
+
+        def iteration(*args):
+            iterations.append(1)
+            return newton(*args)
+
+        monkeypatch.setattr(model, "gradient_hessian", iteration)
+        fit(m, spec, stats)
+        # every iteration evaluates the likelihood and its derivatives again
+        assert len(iterations) > 1
+        assert len(calls) == 1
 
     def test_concavity_along_chords(self):
         rng = np.random.default_rng(10)
@@ -493,8 +526,10 @@ class TestFit:
             m, spec, stats = random_instance(rng)
             col = stats.collapsed
 
+            masks = m.boost_masks(spec, col)
+
             def ll(params):
-                return log_likelihood(stats, params, m, spec)
+                return log_likelihood(stats, coords(params), masks)
 
             a, b = random_params(rng, col, 2.0), random_params(rng, col, 2.0)
             mid = ModelParams(col, (a.u + b.u) / 2, (a.t1 + b.t1) / 2,
@@ -536,7 +571,8 @@ class TestIndependenceClosedForm:
             m = build_machine(episode)
             stats = collect_statistics(m, dataset, collapsed)[0]
             params = fit(m, EMPTY_SPEC, stats)
-            grad, _ = gradient_hessian(stats, params, m, EMPTY_SPEC)
+            grad, _ = gradient_hessian(stats, coords(params),
+                                       m.boost_masks(EMPTY_SPEC, stats.collapsed))
             observed = stats.n.sum(axis=0) > 0
             # floored classes may only press against the floor
             assert np.abs(grad[:-2][observed]).max() < 1e-9 * stats.c.sum()
@@ -697,8 +733,6 @@ class TestReach:
 class TestCollapseEquivalence:
     def test_rank_identical_with_and_without_collapsing(self):
         # same fitted rank whether noise symbols are pooled or kept separate
-        from episoderank.ranking import rank
-
         rng = np.random.default_rng(12)
         rows = []
         for _ in range(100):

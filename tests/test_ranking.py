@@ -22,7 +22,6 @@ from episoderank.ranking import (
     RankResult,
     kendall_tau,
     parse_report,
-    rank,
     rank_episode,
     rank_many,
     render_report,
@@ -34,7 +33,7 @@ from episoderank.ranking import (
 )
 
 from conftest import dataset_from_strings
-from oracles import rank_combined, tail_exact_banded, tail_poisson_loop
+from oracles import rank, rank_combined, tail_exact_banded, tail_poisson_loop
 
 # ln(1 - Phi(5)), computed with mpmath at 50 digits
 LOG_SURVIVAL_Z5 = -15.064998393988726
@@ -749,11 +748,15 @@ class TestReport:
         assert [r.eid for r in sort_rows(rows)] == ["a", "b"]
 
     def test_render_parse_round_trip(self):
-        text = render_report(self._rows(), ["config"])
+        # an id may start with "#" like the comment lines, which stay comments
+        fitted = RankResult(1.0, 1.0, 3, 0.5, "poisson", "independence")
+        rows = self._rows() + [EpisodeRanking("#x", serial("x"), 3, fitted, fitted)]
+        skips = [("y", "fit failed")]
+        text = render_report(rows, ["config"], errors=skips)
         parsed = parse_report(text)
-        assert len(parsed) == 3
-        assert {r["id"] for r in parsed} == {"p-ab", "s-ab", "s-u"}
-        assert text == render_report(self._rows(), ["config"])  # byte stable
+        assert len(parsed) == 4
+        assert {r["id"] for r in parsed} == {"p-ab", "s-ab", "s-u", "#x"}
+        assert text == render_report(rows, ["config"], errors=skips)  # byte stable
 
     def test_log10_scales_ranks_only(self):
         rows = self._rows()
