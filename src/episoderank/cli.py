@@ -141,13 +141,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
         additions = miner.merge_serial_intersections(candidates, dataset, args.min_support)
     # the lines of a CandidateSet holding the serial episodes, the multisets and
     # the additions, in that order, without building the mined episodes
-    lines = [result.lines(0 if result.serial else args.max_len) for result in mined]
-    lines.append(episodes.episode_line(c.eid, c.episode, c.support) for c in additions)
+    blocks = [result.blocks(0 if result.serial else args.max_len) for result in mined]
+    blocks.append(episodes.episode_line(c.eid, c.episode, c.support).encode("ascii")
+                  for c in additions)
     count = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for line in itertools.chain.from_iterable(lines):
-            fh.write(line)
-            count += 1
+    with open(args.out, "wb") as fh:
+        for block in itertools.chain.from_iterable(blocks):
+            fh.write(block)
+            count += block.count(b"\n")
     print(f"mined {count} episodes to {args.out}")
     return EXIT_OK
 

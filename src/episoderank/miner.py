@@ -12,6 +12,7 @@ only when the result is iterated.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -196,12 +197,12 @@ def _search(dataset: Dataset, min_support: int, max_k: int, multisets: bool):
 
 
 def _form(index: list[int], equal: list[bool], serial: bool):
-    """Closed edges, id suffix, episode-file line template and whether every
+    """Closed edges, id suffix, episode-file line pieces and whether every
     label is the same, of a serial episode (every pair in pattern order) or a
     strictified multiset (each run of equal labels chained); ``index`` maps
     pattern positions to canonical vertices, ``equal`` marks equal neighbours
-    in canonical order. The template takes the n JSON-escaped labels twice,
-    for the id and the labels, then the support."""
+    in canonical order. A line is its 2n + 2 pieces with, in the 2n + 1 gaps,
+    the n JSON-escaped labels, the labels again and the support."""
     n = len(index)
     closed = frozenset((index[i], index[j]) for i in range(n) for j in range(i + 1, n)
                        if serial or all(equal[i:j]))
@@ -209,7 +210,7 @@ def _form(index: list[int], equal: list[bool], serial: bool):
     suffix = "".join(f"|{u}<{v}" for u, v in reduced)  # digits and |<, never %
     template = record_line('"' + "-".join(["%s"] * n) + suffix + '"',
                            "[" + ", ".join(['"%s"'] * n) + "]", edge_list(reduced), "%d")
-    return closed, suffix, template, all(equal)
+    return closed, suffix, re.split("%[sd]", template), all(equal)
 
 
 def _distinct_rows(rows: np.ndarray):
@@ -225,9 +226,10 @@ def _distinct_rows(rows: np.ndarray):
     return ranked[first], code
 
 
-# Tuples a result converts to Python lists at once while iterated; bounds the
-# memory of those lists whatever the number of candidates.
-CHUNK = 1 << 14
+# Tuples a result turns into Python lists, or into bytes, at once; bounds the
+# memory of those lists and of a block's byte index whatever the number of
+# candidates.
+CHUNK = 1 << 11
 
 
 class MinedEpisodes:
@@ -237,7 +239,7 @@ class MinedEpisodes:
     of level k is the k-label tuple that extends entry ``parent[i]`` of level
     k - 1 by label number ``label[i]``, held by ``support[i]`` sequences;
     serial tuples are in pattern order, multiset tuples sorted. Iterating
-    builds each ``Candidate`` on demand and ``lines`` writes the JSONL records
+    builds each ``Candidate`` on demand and ``blocks`` writes the JSONL records
     straight from the arrays, both in the lexicographic order of the tuples, a
     prefix first.
     """
@@ -250,18 +252,20 @@ class MinedEpisodes:
         return sum(len(support) for _, _, support in self.levels)
 
     def _records(self):
-        """Per tuple, in order: its label numbers in canonical vertex order,
-        the form of its shape (``_form``) and its support.
+        """The forms of the tuples' shapes (``_form``), the order of the tuples
+        and, per tuple in level order, its label numbers in canonical vertex
+        order (padded with the number of symbols), the index of its shape's
+        form and its support; a form fixes its tuples' size.
 
         The canonical vertex order is the stable sort of the labels, so the
         episode, its id suffix and its edge list are written down once per
         shape of tuple, not derived per episode.
         """
-        if not self.levels:
-            return
-        tuples = [self.levels[0][1][:, None]]
+        F = len(self.symbols)
+        narrow = np.min_scalar_type(-F - 1)  # holds -1 through F
+        tuples = [self.levels[0][1].astype(narrow)[:, None]]
         for parent, label, _ in self.levels[1:]:
-            tuples.append(np.column_stack((tuples[-1][parent], label)))
+            tuples.append(np.column_stack((tuples[-1][parent], label.astype(narrow))))
         width = len(tuples)
         padded, canons, codes, forms = [], [], [], []
         for t in tuples:
@@ -274,41 +278,78 @@ class MinedEpisodes:
             forms += [_form(row[:k], row[k:], self.serial) for row in kinds.tolist()]
             pad = ((0, 0), (0, width - k))
             padded.append(np.pad(t, pad, constant_values=-1))
-            canons.append(np.pad(canon, pad))
+            canons.append(np.pad(canon, pad, constant_values=F))
         order = np.lexsort(np.concatenate(padded).T[::-1])
-        canon = np.concatenate(canons)[order]
-        size = np.repeat(np.arange(1, width + 1), [len(t) for t in tuples])[order]
-        code = np.concatenate(codes)[order]
-        support = np.concatenate([level[2] for level in self.levels])[order]
-        for a in range(0, len(order), CHUNK):
-            b = a + CHUNK
-            for row, k, c, s in zip(canon[a:b].tolist(), size[a:b].tolist(),
-                                    code[a:b].tolist(), support[a:b].tolist()):
-                yield row[:k], forms[c], s
+        support = np.concatenate([level[2] for level in self.levels])
+        return forms, order, np.concatenate(canons), np.concatenate(codes), support
 
     def __iter__(self):
         symbols = self.symbols
-        for row, (closed, suffix, _, _), support in self._records():
-            labels = tuple([symbols[r] for r in row])
-            yield Candidate("-".join(labels) + suffix, Episode(labels, closed), support)
+        forms, order, canon, code, support = self._records()
+        for a in range(0, len(order), CHUNK):
+            o = order[a:a + CHUNK]
+            for row, c, s in zip(canon[o].tolist(), code[o].tolist(), support[o].tolist()):
+                closed, suffix, parts, _ = forms[c]
+                labels = tuple([symbols[r] for r in row[:len(parts) // 2 - 1]])
+                yield Candidate("-".join(labels) + suffix, Episode(labels, closed), s)
 
-    def lines(self, skip_repeats: int = 0):
-        """The episode-file line of every tuple but those of one label repeated
-        at most ``skip_repeats`` times: a serial search capped at that length
-        finds each of them as a serial episode, the same episode."""
-        escaped = [json.dumps(symbol)[1:-1] for symbol in self.symbols]
-        for row, (_, _, template, same), support in self._records():
-            if same and len(row) <= skip_repeats:
+    def blocks(self, skip_repeats: int = 0):
+        """The episode-file lines of every tuple but those of one label repeated
+        at most ``skip_repeats`` times (a serial search capped at that length
+        finds each of them as a serial episode, the same episode), as blocks of
+        the ASCII bytes of at most ``CHUNK`` lines.
+
+        Every line is gathered from one pool of byte pieces: the JSON-escaped
+        symbols, the empty piece (numbered as the padding label), the distinct
+        pieces of the forms and the decimal text of each distinct support. A
+        tuple's pieces are its form's pieces with its labels twice and its
+        support in between; a block is one gather of the pool.
+        """
+        forms, order, canon, code, support = self._records()
+        W = canon.shape[1]
+        # piece ids: symbol i is piece i, the padding label F the empty piece,
+        # then the form pieces
+        texts = [json.dumps(symbol)[1:-1] for symbol in self.symbols] + [""]
+        number: dict[str, int] = {}
+        rows, skip = [], []
+        for _, _, parts, same in forms:
+            k = len(parts) // 2 - 1
+            at = [number.setdefault(p, len(texts) + len(number)) for p in parts]
+            empty = [len(self.symbols)] * (W - k)
+            rows.append([*at[:k + 1], *empty, *at[k + 1:-1], *empty, at[-1]])
+            skip.append(same and k <= skip_repeats)
+        pieces = np.array(rows, dtype=np.intp).reshape(len(forms), 2 * W + 2)
+        skip = np.array(skip, dtype=bool)
+        texts += number
+        supports = np.unique(support)
+        first = len(texts)  # the piece of the smallest support
+        texts += map(str, supports.tolist())
+        pool = np.frombuffer("".join(texts).encode("ascii"), dtype=np.uint8)
+        length = np.array(list(map(len, texts)), dtype=np.intp)
+        start = np.cumsum(length) - length
+        for a in range(0, len(order), CHUNK):
+            o = order[a:a + CHUNK]
+            o = o[~skip[code[o]]]
+            if not len(o):
                 continue
-            labels = [escaped[r] for r in row]
-            yield template % (*labels, *labels, support)
+            ids = np.empty((len(o), 4 * W + 3), dtype=np.intp)
+            ids[:, 0::2] = pieces[code[o]]
+            ids[:, 1:2 * W:2] = ids[:, 2 * W + 1:4 * W:2] = canon[o]
+            ids[:, 4 * W + 1] = first + np.searchsorted(supports, support[o])
+            lens = length[ids].ravel()
+            ends = np.cumsum(lens)
+            index = _index_dtype(len(pool) + int(ends[-1]))
+            at = np.repeat((start[ids].ravel() - ends + lens).astype(index), lens)
+            at += np.arange(ends[-1], dtype=index)  # the pool index of each byte
+            yield pool.take(at).tobytes()
 
 
 def _mine(dataset: Dataset, min_support: int, max_k: int, serial: bool) -> MinedEpisodes:
     if min_support < 1:
         raise ValueError("min_support must be >= 1")
     if max_k < 1:
-        return MinedEpisodes([], [], serial)
+        empty = np.zeros(0, dtype=np.int64)
+        return MinedEpisodes([], [(empty, empty, empty)], serial)
     return MinedEpisodes(*_search(dataset, min_support, max_k, multisets=not serial),
                          serial=serial)
 

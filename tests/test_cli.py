@@ -237,6 +237,33 @@ class TestMineCommand:
         assert out.read_text() == "".join(lines)
 
     @pytest.mark.parametrize("merge", [False, True])
+    @pytest.mark.parametrize("max_len,max_size", [(3, 2), (2, 3), (0, 2), (3, 0)])
+    def test_printed_count_is_the_number_of_lines_written(self, tmp_path, capsys, max_len,
+                                                          max_size, merge):
+        # repeated-label multisets are skipped, merged additions written
+        rows = ["abcab", "bacd", "abcd", "dcba", "aabbd", "abab", "baba", "cdcd"] * 2
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "mined.jsonl"
+        corpus.write_text("".join(" ".join(row) + "\n" for row in rows))
+        argv = ["mine", "--data", str(corpus), "--min-support", "4", "--max-len",
+                str(max_len), "--max-size", str(max_size), "--out", str(out)]
+        assert main(argv + ["--merge-intersections"] * merge) == 0
+        written = out.read_bytes().count(b"\n")
+        assert written > 0
+        assert capsys.readouterr().out == f"mined {written} episodes to {out}\n"
+
+    @pytest.mark.parametrize("rows,caps", [([], ("3", "2")), (["a b", "c d"], ("3", "2")),
+                                           (["a b", "a b"], ("0", "0"))],
+                             ids=["empty-corpus", "nothing-frequent", "both-caps-0"])
+    def test_nothing_to_write_gives_an_empty_file(self, tmp_path, capsys, rows, caps):
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "mined.jsonl"
+        corpus.write_text("".join(row + "\n" for row in rows))
+        assert main(["mine", "--data", str(corpus), "--min-support", "2", "--max-len",
+                     caps[0], "--max-size", caps[1], "--merge-intersections",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == b""
+        assert capsys.readouterr().out == f"mined 0 episodes to {out}\n"
+
+    @pytest.mark.parametrize("merge", [False, True])
     @pytest.mark.parametrize("max_len,max_size", [(0, 2), (1, 2), (2, 3), (3, 3), (4, 2),
                                                   (3, 0)])
     def test_jsonl_matches_oracle_on_escaped_symbols(self, tmp_path, max_len, max_size, merge):
@@ -287,8 +314,8 @@ class TestMineOverlap:
             mined.append(miner.mine_serial(dataset, min_support, max_len))
         if max_size:
             mined.append(miner.mine_parallel(dataset, min_support, max_size))
-        lines = [line for result in mined for line in result.lines(
-            0 if result.serial else max_len)]
+        lines = [b"".join(result.blocks(0 if result.serial else max_len)).decode("ascii")
+                 for result in mined]
         if merge:
             candidates = CandidateSet(itertools.chain.from_iterable(mined))
             lines += [episode_line(c.eid, c.episode, c.support) for c in

@@ -285,10 +285,46 @@ def test_lines_escape_symbols_as_episode_files_do():
     ds = Dataset.from_rows(rows)
     for mine in (mine_serial, mine_parallel):
         result = mine(ds, 2, 3)
-        lines = list(result.lines())
+        lines = b"".join(result.blocks()).decode("ascii").splitlines(keepends=True)
         assert lines == [episode_line(c.eid, c.episode, c.support) for c in result]
         assert len(lines) > 20 and all(line.isascii() for line in lines)
         assert {tuple(json.loads(line)["labels"]) for line in lines} >= {("50%", "50%")}
+
+
+def test_lines_of_an_empty_symbol_as_episode_files_do():
+    # the empty label's text is the empty piece that pads shorter tuples
+    ds = Dataset.from_rows([["", "a", ""], ["a", "", ""], ["", "", "a"]])
+    for mine in (mine_serial, mine_parallel):
+        result = mine(ds, 2, 3)
+        lines = b"".join(result.blocks()).decode("ascii").splitlines(keepends=True)
+        assert lines == [episode_line(c.eid, c.episode, c.support) for c in result]
+        assert {tuple(json.loads(line)["labels"]) for line in lines} >= {("", ""), ("", "a")}
+
+
+def test_tuples_longer_than_the_symbol_count_holds():
+    # one symbol gives 8-bit label numbers; tuple sizes pass 127 all the same
+    ds = Dataset.from_rows([["a"] * 130] * 2)
+    for mine in (mine_serial, mine_parallel):
+        result = mine(ds, 2, 130)
+        candidates = list(result)
+        assert [len(c.episode.labels) for c in candidates] == list(range(1, 131))
+        expected = [episode_line(c.eid, c.episode, c.support) for c in candidates]
+        assert b"".join(result.blocks()).decode("ascii") == "".join(expected)
+        # a serial search capped at 129 finds all but the 130-label multiset
+        assert b"".join(result.blocks(129)).decode("ascii") == expected[-1]
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_blocks_hold_at_most_chunk_lines(chunk, monkeypatch):
+    ds = dataset_from_strings(["abcab", "bacd", "abcd", "dcba", "aabbd"])
+    cases = [(mine_serial(ds, 2, 4), 0), (mine_parallel(ds, 2, 3), 0),
+             (mine_parallel(ds, 2, 3), 2)]  # the last skips the one-label multisets
+    whole = [b"".join(result.blocks(skip)) for result, skip in cases]
+    monkeypatch.setattr(miner, "CHUNK", chunk)
+    for (result, skip), expected in zip(cases, whole):
+        blocks = list(result.blocks(skip))
+        assert len(blocks) > 1 and all(0 < block.count(b"\n") <= chunk for block in blocks)
+        assert b"".join(blocks) == expected
 
 
 def test_index_dtype_holds_every_event_position():
