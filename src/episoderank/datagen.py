@@ -1,12 +1,14 @@
 """Sequence corpora: text ingestion and the seeded synthetic generators.
 
 A dataset holds its event sequences as one flat array of interned label ids
-with per-sequence offsets; ``Dataset.from_rows`` is the one place where events
-are interned. The three synthetic corpus kinds (``plant``, ``plant2``,
-``gap``) write known patterns into uniform noise; all randomness flows from a
-single 64-bit seed through a NumPy PCG64 generator, so output is
-byte-identical across runs and platforms. The generator draws label ids
-directly, one array per sequence, and joins them.
+with per-sequence offsets. ``load_sequences`` reads a corpus in chunks of
+whole lines, splits and groups each chunk's tokens with array operations, and
+passes only each chunk's distinct tokens through the ``Alphabet``. The three
+synthetic corpus kinds (``plant``, ``plant2``, ``gap``) write known patterns
+into uniform noise; all randomness flows from a single 64-bit seed through a
+NumPy PCG64 generator, so output is byte-identical across runs and platforms.
+The generator draws label ids directly, one array per sequence, and joins
+them.
 """
 
 from __future__ import annotations
@@ -72,18 +74,6 @@ class Dataset:
         self._sequence_ids: np.ndarray | None = None
         self._length_counts: dict[int, int] | None = None
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[str]]) -> "Dataset":
-        """Intern the events of each row, in order of first appearance; each
-        row is one sequence."""
-        alphabet = Alphabet()
-        ids: list[int] = []
-        offsets = [0]
-        for row in rows:
-            ids.extend(map(alphabet.intern, row))
-            offsets.append(len(ids))
-        return cls(alphabet, np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64))
-
     @property
     def num_sequences(self) -> int:
         return len(self.offsets) - 1
@@ -117,36 +107,129 @@ class Dataset:
     def positions_of(self, label_id: int) -> np.ndarray:
         """Ascending flat positions of the events carrying the label."""
         if self._positions is None:
-            self._positions = (np.argsort(self.tokens, kind="stable"),
+            self._positions = (label_order(self.tokens, len(self.alphabet)),
                                np.concatenate(([0], np.cumsum(self.label_counts()))))
         positions, label_offsets = self._positions
         return positions[label_offsets[label_id]:label_offsets[label_id + 1]]
 
 
+def label_order(labels: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(labels, kind="stable")`` of labels in ``[0, count)``."""
+    # NumPy sorts 8- and 16-bit integers stably by radix sort, several times
+    # faster than wider ones, so the labels are sorted as the narrowest type
+    return np.argsort(labels.astype(np.min_scalar_type(count)), kind="stable")
+
+
+# Characters read from a corpus at once. A chunk is the whole lines that end
+# in one read, after the partial line carried over from the reads before, so
+# the arrays of a chunk stay bounded unless a single line is longer.
+READ_CHARS = 1 << 17
+
+# Every character ``str.split()`` separates tokens at, but the line break,
+# mapped to a space; no character above U+3000 is whitespace (the tests scan
+# every code point).
+_SPACES = {c: " " for c in range(0x3001) if chr(c).isspace() and c != 0x0A}
+
+# _MASKS[j] keeps the low j bytes of a 64-bit word.
+_MASKS = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
+
+
+def _chunks(fh):
+    """The text of ``fh`` in chunks of whole lines, the last one ended with a
+    line break if the text was not."""
+    parts: list[str] = []  # of the line not yet ended, joined once it ends
+    while text := fh.read(READ_CHARS):
+        cut = text.rfind("\n") + 1
+        if cut:
+            parts.append(text[:cut])
+            yield "".join(parts)
+            parts = [text[cut:]]
+        else:
+            parts.append(text)
+    rest = "".join(parts)
+    if rest:
+        yield rest + "\n"
+
+
+def _token_groups(data: np.ndarray, starts: np.ndarray, lens: np.ndarray):
+    """The group of equal tokens of each token and the first token of each
+    group; the tokens are the ``lens[i]`` bytes of ``data`` at ``starts[i]``.
+
+    A token's key is its bytes as little-endian 64-bit words, padded with
+    0xFF, which UTF-8 never holds: two tokens of as many words have equal keys
+    exactly when they are equal. Tokens are grouped by one sort of their keys
+    per number of words.
+    """
+    padded = np.concatenate((data, np.zeros(8, dtype=np.uint8)))
+    word_at = np.ndarray(len(data) + 1, dtype="<u8", buffer=padded, strides=(1,))
+    words = (lens + 7) // 8
+    group = np.empty(len(lens), dtype=np.intp)
+    firsts = [np.empty(0, dtype=np.intp)]
+    groups = 0
+    for w in np.flatnonzero(np.bincount(words)).tolist():
+        tokens = np.flatnonzero(words == w)
+        at = starts[tokens]
+        keys = [word_at[at + 8 * i] for i in range(w)]
+        mask = _MASKS[lens[tokens] - 8 * (w - 1)]  # of the last word
+        keys[-1] = keys[-1] & mask | ~mask
+        order = np.argsort(keys[0]) if w == 1 else np.lexsort(keys)
+        new = np.zeros(len(order), dtype=bool)
+        new[0] = True
+        for key in keys:
+            key = key[order]
+            new[1:] |= key[1:] != key[:-1]
+        ranked = tokens[order]
+        group[ranked] = groups + np.cumsum(new) - 1
+        heads = np.flatnonzero(new)
+        firsts.append(np.minimum.reduceat(ranked, heads))
+        groups += len(heads)
+    return group, np.concatenate(firsts)
+
+
+def _parse(text: str, alphabet: Alphabet):
+    """The label ids of the tokens of ``text``, whole lines, interning the new
+    ones in order of first appearance, and the number of tokens of each line."""
+    raw = text.translate(_SPACES).encode("utf-8")
+    data = np.frombuffer(raw, dtype=np.uint8)
+    inside = np.zeros(len(data) + 2, dtype=bool)
+    inside[1:-1] = (data != 0x20) & (data != 0x0A)
+    flips = np.flatnonzero(inside[1:] != inside[:-1])
+    starts, ends = flips[0::2], flips[1::2]
+    counts = np.diff(np.searchsorted(starts, np.flatnonzero(data == 0x0A)), prepend=0)
+    group, firsts = _token_groups(data, starts, ends - starts)
+    seen = np.argsort(firsts)  # the groups in order of first appearance
+    firsts = firsts[seen]
+    ids = np.empty(len(seen), dtype=np.int32)
+    ids[seen] = [alphabet.intern(raw[a:b].decode("utf-8"))
+                 for a, b in zip(starts[firsts].tolist(), ends[firsts].tolist())]
+    return ids[group], counts
+
+
 def load_sequences(path: str) -> Dataset:
-    """Read a whitespace-tokenized corpus, one sequence per line; blank lines
-    are skipped."""
-    blank = 0
+    """Read a corpus of one sequence per line; blank lines are skipped.
 
-    def rows(fh):
-        nonlocal blank
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                yield tokens
-            else:
-                blank += 1
-
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, and tokens are separated by
+    any whitespace ``str.split()`` splits at, as if each line were split by
+    it. Labels are interned in order of first appearance.
+    """
+    alphabet = Alphabet()
+    tokens, lengths = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.intp)]
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            dataset = Dataset.from_rows(rows(fh))
+            for text in _chunks(fh):
+                ids, counts = _parse(text, alphabet)
+                tokens.append(ids)
+                lengths.append(counts)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from None
     except OSError as exc:
         raise DataError(f"{path}: {exc}") from None
+    lengths = np.concatenate(lengths)
+    blank = len(lengths) - np.count_nonzero(lengths)
     if blank:
         logger.warning("%s: skipped %d blank line(s)", path, blank)
-    return dataset
+    offsets = np.concatenate(([0], np.cumsum(lengths[lengths > 0])), dtype=np.int64)
+    return Dataset(alphabet, np.concatenate(tokens), offsets)
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import Dataset, label_order
 from .episodes import Episode, describe, edge_list, is_strict, make_episode, record_line
 from .machine import build_machine
 from .model import support
@@ -129,9 +129,7 @@ def _occurrences(seq: np.ndarray, label: np.ndarray, count: int):
     """The events in (label, position) order, as ``seq``'s type, and which
     events are the first and which the last of their (sequence, label);
     ``count`` is the number of labels."""
-    # NumPy sorts 8- and 16-bit integers stably by radix sort, several times faster
-    by_label = np.argsort(label.astype(np.min_scalar_type(count)), kind="stable")
-    by_label = by_label.astype(seq.dtype)
+    by_label = label_order(label, count).astype(seq.dtype)
     again = (np.diff(label[by_label]) == 0) & (np.diff(seq[by_label]) == 0)
     first, last = np.ones(len(label), dtype=bool), np.ones(len(label), dtype=bool)
     first[by_label[1:][again]] = False
@@ -269,11 +267,17 @@ class MinedEpisodes:
         width = len(tuples)
         padded, canons, codes, forms = [], [], [], []
         for t in tuples:
-            order = np.argsort(t, axis=1, kind="stable")
-            canon = np.take_along_axis(t, order, axis=1)
-            shape = np.hstack((np.argsort(order, axis=1), canon[:, 1:] == canon[:, :-1]))
-            kinds, code = _distinct_rows(shape)
             k = t.shape[1]
+            # each label's place in the stable sort of its row: the number of
+            # smaller labels and of equal ones before it
+            place = np.zeros(t.shape, dtype=np.min_scalar_type(k))
+            for j in range(k):
+                place += t > t[:, j:j + 1]
+                place[:, j + 1:] += t[:, j + 1:] == t[:, j:j + 1]
+            canon = np.empty_like(t)
+            np.put_along_axis(canon, place, t, axis=1)
+            shape = np.hstack((place, canon[:, 1:] == canon[:, :-1]))
+            kinds, code = _distinct_rows(shape)
             codes.append(code + len(forms))
             forms += [_form(row[:k], row[k:], self.serial) for row in kinds.tolist()]
             pad = ((0, 0), (0, width - k))

@@ -11,6 +11,8 @@ import pytest
 from episoderank.datagen import Dataset
 from episoderank.episodes import CycleError, Episode, is_strict, make_episode, strictify
 
+from oracles import dataset_from_rows
+
 
 def random_strict_episode(rng: np.random.Generator, alphabet: str = "ab",
                           max_vertices: int = 4, edge_p: float = 0.5) -> Episode:
@@ -43,7 +45,7 @@ def enumerate_strict_episodes(max_vertices: int, alphabet: str = "ab") -> list[E
 
 def dataset_from_strings(rows: Iterable[str]) -> Dataset:
     """Each character of each string is one event."""
-    return Dataset.from_rows(rows)
+    return dataset_from_rows(rows)
 
 
 def all_sequences(alphabet: str, max_len: int) -> list[str]:

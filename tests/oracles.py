@@ -56,6 +56,38 @@ def symbol_rows(dataset: Dataset) -> list[list[str]]:
     return [[dataset.alphabet.symbols[lid] for lid in row] for row in rows(dataset)]
 
 
+def dataset_from_rows(rows: Iterable[Iterable[str]]) -> Dataset:
+    """Intern the events of each row, in order of first appearance; each row
+    is one sequence."""
+    alphabet = Alphabet()
+    ids: list[int] = []
+    offsets = [0]
+    for row in rows:
+        ids.extend(map(alphabet.intern, row))
+        offsets.append(len(ids))
+    return Dataset(alphabet, np.array(ids, dtype=np.int32), np.array(offsets, dtype=np.int64))
+
+
+def load_sequences_by_line(path: str) -> tuple[Dataset, int]:
+    """``datagen.load_sequences`` one line at a time: each line read in text
+    mode is split by ``str.split()``. Returns the dataset and the number of
+    blank lines skipped."""
+    blank = 0
+
+    def nonblank(fh):
+        nonlocal blank
+        for line in fh:
+            tokens = line.split()
+            if tokens:
+                yield tokens
+            else:
+                blank += 1
+
+    with open(path, "r", encoding="utf-8") as fh:
+        dataset = dataset_from_rows(nonblank(fh))
+    return dataset, blank
+
+
 def out_edges(machine: Machine) -> list[list[int]]:
     """Indices of each state's outgoing edges, in edge order."""
     found: list[list[int]] = [[] for _ in range(machine.num_states)]

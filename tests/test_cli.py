@@ -581,6 +581,19 @@ class TestExitCodes:
                    "--episodes", str(eps), "--no-timestamp"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["mine", "rank"])
+    def test_corpus_not_utf8_is_data_error(self, command, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"a b\nb \xff a\n")
+        eps = tmp_path / "eps.jsonl"
+        eps.write_text('{"id": "ab", "labels": ["a", "b"], "edges": [[0, 1]]}\n')
+        argv = {"mine": ["mine", "--data", str(corpus), "--out", str(tmp_path / "m.jsonl")],
+                "rank": ["rank", "--data", str(corpus), "--episodes", str(eps),
+                         "--no-timestamp", "--out", str(tmp_path / "r.tsv")]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not valid UTF-8" in err and "Traceback" not in err
+
     def test_non_strict_episode_file(self, workspace, tmp_path, capsys):
         root, corpus, _ = workspace
         bad = tmp_path / "bad.jsonl"

@@ -4,6 +4,7 @@ import logging
 import numpy as np
 import pytest
 
+from episoderank import datagen
 from episoderank.cli import main
 from episoderank.datagen import (
     DataError,
@@ -12,6 +13,7 @@ from episoderank.datagen import (
     PlantSpec,
     default_config,
     generate,
+    label_order,
     load_sequences,
     plant_patterns,
     save_dataset,
@@ -20,7 +22,7 @@ from episoderank.episodes import serial
 from episoderank.machine import build_machine, support
 
 from conftest import dataset_from_strings
-from oracles import rows, symbol_rows
+from oracles import load_sequences_by_line, rows, symbol_rows
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,120 @@ class TestLoadSave:
     def test_missing_file(self):
         with pytest.raises(DataError):
             load_sequences("/nonexistent/corpus.txt")
+
+
+# every character str.split() splits at but the line break, which ends a line
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace() and c != 0x0A]
+BREAKS = ["\n", "\r\n", "\r"]
+# labels of 1, 8, 9, 16, 17 and more bytes, non-ASCII ones, NUL bytes and
+# pairs that differ only in their last byte or their length
+LABELS = ["a", "b", "\x00", "\x00\x00", "a\x00", "\u00e9", "\u6f22", "\U0001f600",
+          "abcdefgh", "abcdefg\x00", "abcdefghi", "abcdefghj", "\u20ac\u20ac\u20ac",
+          "p" * 16, "p" * 17, "q" * 17, "r" * 25, "\u6f22" * 6, "x\u00e9" * 9]
+LABEL_CHARS = ["a", "z", "\x00", "\x7f", "\u00e9", "\u6f22", "\U0001f600"]
+
+
+def random_corpus(rng: np.random.Generator) -> str:
+    """Lines of labels from LABELS and random ones, separated by runs of any
+    whitespace, some of them blank or whitespace-only, ended by any line break."""
+    def label() -> str:
+        if rng.random() < 0.6:
+            return LABELS[int(rng.integers(len(LABELS)))]
+        size = int(rng.integers(1, 21))
+        return "".join(LABEL_CHARS[i] for i in rng.integers(len(LABEL_CHARS), size=size))
+
+    def space() -> str:
+        return "".join(WHITESPACE[i] for i in rng.integers(len(WHITESPACE),
+                                                            size=int(rng.integers(1, 4))))
+
+    lines = []
+    for _ in range(int(rng.integers(0, 40))):
+        tokens = [label() for _ in range(int(rng.integers(0, 8)))]
+        line = space().join(tokens)
+        if rng.random() < 0.3:
+            line = space() + line
+        if rng.random() < 0.3:
+            line += space()
+        lines.append(line + BREAKS[int(rng.integers(len(BREAKS)))])
+    text = "".join(lines)
+    if text and rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no final line break
+    return text
+
+
+def assert_loads_as_by_line(path, caplog) -> None:
+    expected, blank = load_sequences_by_line(str(path))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        got = load_sequences(str(path))
+    assert got.tokens.dtype == expected.tokens.dtype == np.int32
+    assert got.offsets.dtype == expected.offsets.dtype == np.int64
+    assert np.array_equal(got.tokens, expected.tokens)
+    assert np.array_equal(got.offsets, expected.offsets)
+    assert got.alphabet.symbols == expected.alphabet.symbols
+    warned = [r.getMessage() for r in caplog.records if "blank line" in r.getMessage()]
+    assert warned == ([f"{path}: skipped {blank} blank line(s)"] if blank else [])
+
+
+class TestLoadMatchesTheLineReader:
+    """``load_sequences`` reads chunks with arrays; it must give what splitting
+    each line with ``str.split()`` gives."""
+
+    @pytest.mark.parametrize("read_chars", [None, 1, 3, 7])
+    def test_random_corpora(self, read_chars, tmp_path, caplog, monkeypatch):
+        # a few characters a read makes lines, labels and \r\n pairs straddle
+        # chunk bounds
+        if read_chars is not None:
+            monkeypatch.setattr(datagen, "READ_CHARS", read_chars)
+        rng = np.random.default_rng(2025)
+        path = tmp_path / "corpus.txt"
+        for _ in range(60):
+            path.write_bytes(random_corpus(rng).encode("utf-8"))
+            assert_loads_as_by_line(path, caplog)
+
+    @pytest.mark.parametrize("read_chars", [None, 2])
+    @pytest.mark.parametrize("text", [
+        "", "\n", "\r\n\r\n", "  \t\n\u3000\n", "a", "a b", "a b\n", "a\r\nb\rc\n",
+        "a\rb\r", "\x00 \x00\x00\n\x00", "a\u2028b\u2029c\x85d\x1ce\n",
+        "\ufeffa b\n",  # a byte order mark is part of the first label
+        " ".join(WHITESPACE).join(["x", "y"]),
+        "abcdefgh abcdefghi abcdefgh\nabcdefghi\n" + "w" * 40 + " " + "w" * 41,
+    ])
+    def test_written_corpora(self, text, read_chars, tmp_path, caplog, monkeypatch):
+        if read_chars is not None:
+            monkeypatch.setattr(datagen, "READ_CHARS", read_chars)
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert_loads_as_by_line(path, caplog)
+
+    def test_separators_are_every_split_character(self):
+        # the table stops at U+3000; no whitespace lies above it
+        assert sorted(map(chr, datagen._SPACES)) == WHITESPACE
+
+    @pytest.mark.parametrize("read_chars,at", [(None, 3), (4096, 20_000)])
+    def test_invalid_utf8_is_a_data_error(self, read_chars, at, tmp_path, monkeypatch):
+        # in the first chunk, and in a chunk after several whole ones
+        if read_chars is not None:
+            monkeypatch.setattr(datagen, "READ_CHARS", read_chars)
+        data = bytearray(b"ab cd\n" * (at // 6 + 10))
+        data[at] = 0xFF
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(DataError, match="not valid UTF-8"):
+            load_sequences(str(path))
+
+
+@pytest.mark.parametrize("count", [255, 256, 65_536, 65_537])
+def test_label_order_is_the_stable_argsort(count):
+    rng = np.random.default_rng(count)
+    labels = rng.integers(0, count, size=200_000).astype(np.int32)
+    labels[:2] = [0, count - 1]
+    expected = np.argsort(labels.astype(np.int64), kind="stable")
+    assert np.array_equal(label_order(labels, count), expected)
+    ds = Dataset(datagen.Alphabet(map(str, range(count))), labels,
+                 np.array([0, len(labels)], dtype=np.int64))
+    for label in (0, 1, count - 1):
+        assert np.array_equal(ds.positions_of(label), np.flatnonzero(labels == label))
 
 
 class TestGenerate:

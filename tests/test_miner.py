@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from episoderank import miner
-from episoderank.datagen import Dataset, default_config, generate
+from episoderank.datagen import default_config, generate
 from episoderank.episodes import episode_line, make_episode, parallel, serial, strictify
 from episoderank.machine import build_machine, support
 from episoderank.miner import (
@@ -18,6 +18,7 @@ from conftest import dataset_from_strings, random_strict_episode
 from oracles import (
     brute_force_covers,
     count_supports,
+    dataset_from_rows,
     dfs_mine_parallel,
     dfs_mine_serial,
     induced,
@@ -282,7 +283,7 @@ def test_lines_escape_symbols_as_episode_files_do():
     # symbols holding a format character, quotes, a backslash and non-ASCII text
     odd = ["50%", 'say "%s"', "\\d", "caf\u00e9", "\u6f22"]
     rows = [odd, odd[::-1], odd[2:] + odd[:2], odd + odd[:2], ["50%", "50%", "\u6f22"]]
-    ds = Dataset.from_rows(rows)
+    ds = dataset_from_rows(rows)
     for mine in (mine_serial, mine_parallel):
         result = mine(ds, 2, 3)
         lines = b"".join(result.blocks()).decode("ascii").splitlines(keepends=True)
@@ -293,7 +294,7 @@ def test_lines_escape_symbols_as_episode_files_do():
 
 def test_lines_of_an_empty_symbol_as_episode_files_do():
     # the empty label's text is the empty piece that pads shorter tuples
-    ds = Dataset.from_rows([["", "a", ""], ["a", "", ""], ["", "", "a"]])
+    ds = dataset_from_rows([["", "a", ""], ["a", "", ""], ["", "", "a"]])
     for mine in (mine_serial, mine_parallel):
         result = mine(ds, 2, 3)
         lines = b"".join(result.blocks()).decode("ascii").splitlines(keepends=True)
@@ -303,7 +304,7 @@ def test_lines_of_an_empty_symbol_as_episode_files_do():
 
 def test_tuples_longer_than_the_symbol_count_holds():
     # one symbol gives 8-bit label numbers; tuple sizes pass 127 all the same
-    ds = Dataset.from_rows([["a"] * 130] * 2)
+    ds = dataset_from_rows([["a"] * 130] * 2)
     for mine in (mine_serial, mine_parallel):
         result = mine(ds, 2, 130)
         candidates = list(result)
