@@ -2,13 +2,14 @@
 
 A dataset holds its event sequences as one flat array of interned label ids
 with per-sequence offsets. ``load_sequences`` reads a corpus in chunks of
-whole lines, splits and groups each chunk's tokens with array operations, and
-passes only each chunk's distinct tokens through the ``Alphabet``. The three
-synthetic corpus kinds (``plant``, ``plant2``, ``gap``) write known patterns
-into uniform noise; all randomness flows from a single 64-bit seed through a
-NumPy PCG64 generator, so output is byte-identical across runs and platforms.
-The generator draws label ids directly, one array per sequence, and joins
-them.
+whole tokens, splits and groups each chunk's tokens with array operations, and
+passes only each chunk's distinct tokens through the ``Alphabet``; a line's
+token count carries over from chunk to chunk, so memory stays bounded however
+long a line is. The three synthetic corpus kinds (``plant``, ``plant2``,
+``gap``) write known patterns into uniform noise; all randomness flows from a
+single 64-bit seed through a NumPy PCG64 generator, so output is
+byte-identical across runs and platforms. The generator draws label ids
+directly, one array per sequence, and joins them.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ class Alphabet:
     def id_of(self, symbol: str) -> int | None:
         return self._ids.get(symbol)
 
+    def ids_of(self, symbols: Iterable[str]) -> np.ndarray:
+        """The id of each symbol, -1 for a symbol not interned."""
+        ids = self._ids.get
+        return np.fromiter((ids(s, -1) for s in symbols), dtype=np.intp)
+
     def __len__(self) -> int:
         return len(self.symbols)
 
@@ -58,7 +64,7 @@ class Dataset:
     ``tokens`` is every event's label id, all sequences in one ``int32``
     array; ``tokens[offsets[i]:offsets[i + 1]]`` is sequence ``i``. The flat
     positions of every label, sorted by label, are built on the first call of
-    :meth:`positions_of`; they are what makes an episode's scan cheap, since
+    :meth:`label_index`; they are what makes an episode's scan cheap, since
     only events whose label occurs in the episode can move its machine. The
     number of events of every label (:meth:`label_counts`) and the sequence
     number of every event (:attr:`sequence_ids`) are likewise built on first
@@ -104,13 +110,14 @@ class Dataset:
             self._label_counts = np.bincount(self.tokens, minlength=len(self.alphabet))
         return self._label_counts
 
-    def positions_of(self, label_id: int) -> np.ndarray:
-        """Ascending flat positions of the events carrying the label."""
+    def label_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every event's flat position, sorted by label, and where each label's
+        run starts: label ``l``'s events are at ``positions[starts[l]:starts[l +
+        1]]``, ascending."""
         if self._positions is None:
             self._positions = (label_order(self.tokens, len(self.alphabet)),
                                np.concatenate(([0], np.cumsum(self.label_counts()))))
-        positions, label_offsets = self._positions
-        return positions[label_offsets[label_id]:label_offsets[label_id + 1]]
+        return self._positions
 
 
 def label_order(labels: np.ndarray, count: int) -> np.ndarray:
@@ -120,9 +127,10 @@ def label_order(labels: np.ndarray, count: int) -> np.ndarray:
     return np.argsort(labels.astype(np.min_scalar_type(count)), kind="stable")
 
 
-# Characters read from a corpus at once. A chunk is the whole lines that end
-# in one read, after the partial line carried over from the reads before, so
-# the arrays of a chunk stay bounded unless a single line is longer.
+# Characters read from a corpus at once. A chunk is the whole tokens that end
+# in one read, after the partial token carried over from the reads before, so
+# the arrays of a chunk stay bounded however long a line is, unless a single
+# token is longer.
 READ_CHARS = 1 << 17
 
 # Every character ``str.split()`` separates tokens at, but the line break,
@@ -135,19 +143,17 @@ _MASKS = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
 
 
 def _chunks(fh):
-    """The text of ``fh`` in chunks of whole lines, the last one ended with a
-    line break if the text was not."""
-    parts: list[str] = []  # of the line not yet ended, joined once it ends
+    """The text of ``fh``, every separator but the line break mapped to a
+    space, in chunks that end at a separator; the last one ends with a line
+    break if the text did not."""
+    rest, end = "", "\n"  # the token not yet ended, and the last character
     while text := fh.read(READ_CHARS):
-        cut = text.rfind("\n") + 1
+        text = rest + text.translate(_SPACES)
+        cut = max(text.rfind(" "), text.rfind("\n")) + 1
         if cut:
-            parts.append(text[:cut])
-            yield "".join(parts)
-            parts = [text[cut:]]
-        else:
-            parts.append(text)
-    rest = "".join(parts)
-    if rest:
+            yield text[:cut]
+        rest, end = text[cut:], text[-1]
+    if end != "\n":
         yield rest + "\n"
 
 
@@ -187,22 +193,23 @@ def _token_groups(data: np.ndarray, starts: np.ndarray, lens: np.ndarray):
 
 
 def _parse(text: str, alphabet: Alphabet):
-    """The label ids of the tokens of ``text``, whole lines, interning the new
-    ones in order of first appearance, and the number of tokens of each line."""
-    raw = text.translate(_SPACES).encode("utf-8")
+    """The label ids of the tokens of ``text``, a chunk of :func:`_chunks`,
+    interning the new ones in order of first appearance, and the number of
+    tokens before each line break."""
+    raw = text.encode("utf-8")
     data = np.frombuffer(raw, dtype=np.uint8)
     inside = np.zeros(len(data) + 2, dtype=bool)
     inside[1:-1] = (data != 0x20) & (data != 0x0A)
     flips = np.flatnonzero(inside[1:] != inside[:-1])
     starts, ends = flips[0::2], flips[1::2]
-    counts = np.diff(np.searchsorted(starts, np.flatnonzero(data == 0x0A)), prepend=0)
+    breaks = np.searchsorted(starts, np.flatnonzero(data == 0x0A))
     group, firsts = _token_groups(data, starts, ends - starts)
     seen = np.argsort(firsts)  # the groups in order of first appearance
     firsts = firsts[seen]
     ids = np.empty(len(seen), dtype=np.int32)
     ids[seen] = [alphabet.intern(raw[a:b].decode("utf-8"))
                  for a, b in zip(starts[firsts].tolist(), ends[firsts].tolist())]
-    return ids[group], counts
+    return ids[group], breaks
 
 
 def load_sequences(path: str) -> Dataset:
@@ -214,12 +221,14 @@ def load_sequences(path: str) -> Dataset:
     """
     alphabet = Alphabet()
     tokens, lengths = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.intp)]
+    carry = 0  # tokens of the line the chunks so far leave unfinished
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for text in _chunks(fh):
-                ids, counts = _parse(text, alphabet)
+                ids, breaks = _parse(text, alphabet)
                 tokens.append(ids)
-                lengths.append(counts)
+                lengths.append(np.diff(breaks, prepend=-carry))
+                carry = len(ids) - int(breaks[-1]) if len(breaks) else carry + len(ids)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not valid UTF-8: {exc}") from None
     except OSError as exc:

@@ -111,31 +111,67 @@ class MachineUnion:
     Member ``i``'s state ``H`` is the global state ``offsets[i] + H``, and its
     edges follow those of the members before it, in its own order; every
     per-state or per-edge array of the union is its members' arrays joined in
-    member order. ``source`` and ``sink`` hold each member's global source and
-    sink (a machine's source is its first state and its sink its last), and
-    ``edge_member`` the member of every edge.
+    member order. Members of one shape share a skeleton, whose arrays are
+    tiled at the members' offsets. ``source`` and ``sink`` hold each member's
+    global source and sink (a machine's source is its first state and its
+    sink its last), ``edge_member`` the member of every edge, and
+    ``edge_vertex`` the vertex every edge adds, numbered along the members'
+    label rows joined.
     """
 
     def __init__(self, members: Sequence[Machine]):
         self.members = list(members)
-        sizes = np.array([m.num_states for m in self.members], dtype=np.intp)
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
+        index: dict = {}  # skeleton -> its number, in order of first use
+        kind = np.array([index.setdefault(m.skeleton, len(index)) for m in self.members],
+                        dtype=np.intp)
+        skeletons = list(index)
+        shape = np.array([(s.num_states, len(s.edge_src), s.n) for s in skeletons],
+                         dtype=np.intp).reshape(-1, 3)
+        states, edges, vertices = shape[kind].T
+        self.offsets = np.concatenate(([0], np.cumsum(states)))
         self.num_states = int(self.offsets[-1])
         self.source = self.offsets[:-1]
         self.sink = self.offsets[1:] - 1
-        self.edge_member = np.repeat(np.arange(len(self.members)),
-                                     [len(m.edges) for m in self.members])
+        self.edge_member = np.repeat(np.arange(len(self.members)), edges)
+        tile = _ranges((np.cumsum(shape[:, 1]) - shape[:, 1])[kind], edges)
         shift = self.offsets[self.edge_member]
-        self.edge_src = _join(m.edge_src for m in self.members) + shift
-        self.edge_dst = _join(m.edge_dst for m in self.members) + shift
+        self.edge_src = _join(s.edge_src for s in skeletons)[tile] + shift
+        self.edge_dst = _join(s.edge_dst for s in skeletons)[tile] + shift
+        self.edge_vertex = (_join(s.edge_vertex for s in skeletons)[tile]
+                            + (np.cumsum(vertices) - vertices)[self.edge_member])
+
+    def vertex_classes(self, collapsed: Sequence[CollapsedAlphabet]) -> np.ndarray:
+        """The class of every vertex's label under its member's collapsed
+        alphabet, along the members' label rows joined."""
+        return np.fromiter((c.class_of(lab) for m, c in zip(self.members, collapsed)
+                            for lab in m.episode.labels), dtype=np.intp)
 
     def edge_classes(self, collapsed: Sequence[CollapsedAlphabet]) -> np.ndarray:
         """Every edge's class under its member's collapsed alphabet."""
-        return _join(m.edge_classes(c) for m, c in zip(self.members, collapsed))
+        return self.vertex_classes(collapsed)[self.edge_vertex]
 
 
 def _join(arrays) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=np.intp), *arrays])
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The runs ``starts[i], ..., starts[i] + sizes[i] - 1`` joined in order."""
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def distinct_labels(rows: Sequence[Sequence[str]], alphabet) -> tuple[np.ndarray, ...]:
+    """Each row's distinct labels that ``alphabet`` holds, row by row in label id
+    order: their row, their label id and the index of their first occurrence
+    in the rows joined."""
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    ids = alphabet.ids_of(lab for row in rows for lab in row)
+    row = np.repeat(np.arange(len(rows)), sizes)
+    held = np.flatnonzero(ids >= 0)
+    _, first = np.unique(row[held] * len(alphabet) + ids[held], return_index=True)
+    at = held[first]
+    return row[at], ids[at], at
 
 
 def walk(union: MachineUnion, dataset: Dataset, collapsed: Sequence[CollapsedAlphabet],
@@ -143,7 +179,7 @@ def walk(union: MachineUnion, dataset: Dataset, collapsed: Sequence[CollapsedAlp
     """Greedy walk of every member over every sequence that holds one of its labels.
 
     Only events whose label occurs in an episode can move its machine, so the
-    walk reads just their occurrences, gathered by ``Dataset.positions_of``. A
+    walk reads just their occurrences, gathered from ``Dataset.label_index``. A
     touched unit is a (member, sequence) pair; the events are laid out member
     by member, each member's in corpus order. All units move in lockstep, one
     machine move per round: each jumps to its next event that leaves its
@@ -160,21 +196,17 @@ def walk(union: MachineUnion, dataset: Dataset, collapsed: Sequence[CollapsedAlp
     source.
     """
     B = len(union.members)
-    parts, part_member, part_cls = [], [], []  # one per (member, corpus label)
-    for i, (machine, col) in enumerate(zip(union.members, collapsed)):
-        for lab in set(machine.episode.labels):
-            lid = dataset.alphabet.id_of(lab)
-            if lid is not None:
-                parts.append(dataset.positions_of(lid))
-                part_member.append(i)
-                part_cls.append(col.class_of(lab))
-    sizes = [len(part) for part in parts]
-    member = np.repeat(np.array(part_member, dtype=np.intp), sizes)
-    pos = _join(parts)
+    # one run of label-index positions per (member, distinct corpus label)
+    member, lid, first = distinct_labels([m.episode.labels for m in union.members],
+                                         dataset.alphabet)
+    positions, label_start = dataset.label_index()
+    sizes = dataset.label_counts()[lid]
+    pos = positions[_ranges(label_start[lid], sizes)]
+    member = np.repeat(member, sizes)
+    cls = np.repeat(union.vertex_classes(collapsed)[first], sizes)
     # member, then position: the keys are a run per label, so a stable sort is a merge
     order = np.argsort(member * dataset.total_events + pos, kind="stable")
-    member, pos = member[order], pos[order]
-    cls = np.repeat(np.array(part_cls, dtype=np.intp), sizes)[order]
+    member, pos, cls = member[order], pos[order], cls[order]
     seq = dataset.sequence_ids[pos]
     starts = _run_starts(seq) | _run_starts(member)
     group = np.cumsum(starts) - 1  # touched unit of each event
@@ -187,14 +219,16 @@ def walk(union: MachineUnion, dataset: Dataset, collapsed: Sequence[CollapsedAlp
     stay = np.arange(union.num_states)
     table = np.repeat(stay[:, None], K, axis=1)
     table[union.edge_src, union.edge_classes(collapsed)] = union.edge_dst
-    moves = table != stay[:, None]
+    # one flat slot per (state, class): a gather by one index is the faster
+    table, moves = table.ravel(), (table != stay[:, None]).ravel()
     state = union.source[unit_member]
     before = np.empty(len(pos), dtype=np.intp)  # state each event is read in
     unread = np.arange(len(pos))
     while len(unread):
         g = group[unread]
         at = state[g]
-        hit = unread[moves[at, cls[unread]]]
+        # (a mask of scattered hits indexes faster as positions)
+        hit = unread[np.flatnonzero(moves[at * K + cls[unread]])]
         # hits ascend, so a unit's next move is the first hit of its run
         hit = hit[_run_starts(group[hit])]
         mover = group[hit]
@@ -203,7 +237,7 @@ def walk(union: MachineUnion, dataset: Dataset, collapsed: Sequence[CollapsedAlp
         read = unread <= cut[g]
         if track:
             before[unread[read]] = at[read]
-        state[mover] = table[state[mover], cls[hit]]
+        state[mover] = table[state[mover] * K + cls[hit]]
         unread = unread[~read]
 
     supports = np.bincount(unit_member[state == union.sink[unit_member]], minlength=B)
@@ -393,14 +427,17 @@ def fit_independence(dataset: Dataset,
     integers, so the weights are those :func:`fit` gets from the walk's
     statistics, bit for bit.
     """
-    counts, id_of = dataset.label_counts(), dataset.alphabet.id_of
-    totals = []
-    for col in collapsed:  # its label classes, then the catch-all class
-        labels = [0 if id_of(lab) is None else int(counts[id_of(lab)])
-                  for lab in col.classes[:col.star]]
-        totals += labels + [dataset.total_events - sum(labels)]
+    # each member's label classes, then its catch-all class
+    sizes = np.fromiter((c.size for c in collapsed), dtype=np.intp, count=len(collapsed))
+    ids = dataset.alphabet.ids_of(lab for c in collapsed for lab in c.classes[:c.star])
+    labels = np.ones(int(sizes.sum()), dtype=bool)
+    labels[np.cumsum(sizes) - 1] = False
+    totals = np.zeros(len(labels), dtype=np.int64)
+    totals[np.flatnonzero(labels)[ids >= 0]] = dataset.label_counts()[ids[ids >= 0]]
+    held = np.add.reduceat(totals, np.cumsum(sizes) - sizes) if len(sizes) else totals
+    totals[~labels] = dataset.total_events - held
     return [ModelParams(col, u, 0.0, 0.0, pinned) for col, (u, pinned)
-            in zip(collapsed, _class_weights(collapsed, np.array(totals, dtype=float),
+            in zip(collapsed, _class_weights(collapsed, totals.astype(float),
                                              closed_form=True))]
 
 

@@ -32,7 +32,7 @@ from scipy.special import expit, gammaln, log_ndtr
 from .datagen import DataError, Dataset
 from .episodes import Episode, EpisodeError, vertex_set_label
 from .episodes import prefix_graphs  # noqa: F401  (perfbench/tracer.py wraps ranking.prefix_graphs)
-from .machine import Machine, block_prefix, block_super, build_machine
+from .machine import Machine, Skeleton, block_prefix, block_super, build_machine
 from .miner import CandidateSet
 from .model import (  # noqa: F401  (perfbench/tracer.py wraps ranking.collect_statistics)
     EMPTY_SPEC,
@@ -42,6 +42,7 @@ from .model import (  # noqa: F401  (perfbench/tracer.py wraps ranking.collect_s
     PartitionSpec,
     collapse_alphabet,
     collect_statistics,
+    distinct_labels,
     fit,
     fit_independence,
     reach_table,
@@ -378,20 +379,32 @@ def rank_episode(eid: str, episode: Episode, dataset: Dataset,
     return result
 
 
-def _partition_models(machine: Machine,
-                      candidates: CandidateSet | None) -> list[tuple[str, PartitionSpec]]:
+def _partition_models(machine: Machine, prefix_splits: list[tuple[int, PartitionSpec]],
+                      supers: dict, candidates: CandidateSet | None
+                      ) -> list[tuple[str, PartitionSpec]]:
     """Every proper prefix split in prefix-graph order, then every stricter
-    candidate in input order."""
+    candidate in input order.
+
+    ``prefix_splits`` holds the splits of the machine's shape, and ``supers``
+    the edge set of each stricter shape already met; a new one is added.
+    """
     episode = machine.episode
-    full = (1 << episode.n) - 1
-    models = [(f"prefix:{vertex_set_label(episode, w)}",
-               PartitionSpec(block_prefix(machine, w), block_prefix(machine, full ^ w)))
-              for w in machine.states if w not in (0, full)]
+    models = [(f"prefix:{vertex_set_label(episode, w)}", spec) for w, spec in prefix_splits]
     if candidates is not None:
-        models += [(f"super:{sup.eid}",
-                    PartitionSpec(block_super(machine, sup.episode), frozenset()))
-                   for sup in candidates.superepisodes_of(episode)]
+        for sup in candidates.superepisodes_of(episode):
+            edges = supers.get(sup.episode.edges)
+            if edges is None:
+                edges = supers[sup.episode.edges] = block_super(machine, sup.episode)
+            models.append((f"super:{sup.eid}", PartitionSpec(edges, frozenset())))
     return models
+
+
+def _prefix_splits(skeleton: Skeleton) -> list[tuple[int, PartitionSpec]]:
+    """Every proper prefix W of a shape, in prefix-graph order, with its split:
+    the edges blocked inside W and inside its complement."""
+    full = (1 << skeleton.n) - 1
+    return [(w, PartitionSpec(block_prefix(skeleton, w), block_prefix(skeleton, full ^ w)))
+            for w in skeleton.states[1:-1]]
 
 
 def _rank_batch(episodes: list[tuple[str, Episode]], dataset: Dataset,
@@ -399,7 +412,9 @@ def _rank_batch(episodes: list[tuple[str, Episode]], dataset: Dataset,
                 keep_evaluations: bool = False) -> list[EpisodeRanking | Exception]:
     """Rank a batch of episodes; a failing episode's exception takes its place.
 
-    One walk over the union of the episodes' machines gives every support,
+    Each shape met in the batch gets one skeleton, with its prefix splits and
+    its stricter shapes' edge sets; an episode's machine is that skeleton and
+    its labels. One walk over the union of the machines gives every support,
     and the statistics of the episodes with a partition model that boosts an
     edge. The independence models come from the label counts, and each
     boosted model is fitted on its episode's statistics; a model that boosts
@@ -409,16 +424,23 @@ def _rank_batch(episodes: list[tuple[str, Episode]], dataset: Dataset,
     machine once for its independence model and once for each boosted model.
     """
     out: list = [None] * len(episodes)
+    shapes: dict = {}  # (n, edges) -> (skeleton, prefix splits, stricter edge sets)
     ranked, machines, models = [], [], []
     for i, (_, episode) in enumerate(episodes):
+        key = (episode.n, episode.edges)
+        shape = shapes.get(key)
         try:
-            machine = build_machine(episode)
+            if shape is None:
+                machine = build_machine(episode)
+                shape = shapes[key] = (machine.skeleton, _prefix_splits(machine.skeleton), {})
+            else:
+                machine = Machine(shape[0], episode)
         except EpisodeError as exc:
             out[i] = exc
             continue
         ranked.append(i)
         machines.append(machine)
-        models.append(_partition_models(machine, candidates))
+        models.append(_partition_models(machine, shape[1], shape[2], candidates))
     union = MachineUnion(machines)
     collapsed = [collapse_alphabet(m.episode) for m in machines]
     supports, stats = walk(union, dataset, collapsed,
@@ -522,10 +544,11 @@ def _batches(episodes: list[tuple[str, Episode]], dataset: Dataset,
     reach-table entry: at most 2^n states (the vertex sets) at each distinct
     sequence length of the corpus.
     """
-    counts, id_of = dataset.label_counts(), dataset.alphabet.id_of
+    labels = [ep.labels for _, ep in episodes]
+    member, lid, _ = distinct_labels(labels, dataset.alphabet)
+    events = np.bincount(member, weights=dataset.label_counts()[lid], minlength=len(labels))
     rows = len(dataset.length_counts())
-    cells = [sum(int(counts[lid]) for lid in {id_of(lab) for lab in ep.labels} - {None})
-             + (rows << ep.n) for _, ep in episodes]
+    cells = [int(k) + (rows << len(row)) for k, row in zip(events.tolist(), labels)]
     bound = BATCH_CELLS
     if threads > 1:
         bound = min(bound, math.ceil(sum(cells) / (4 * threads)))

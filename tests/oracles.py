@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,12 +19,17 @@ from episoderank.datagen import Alphabet, Dataset
 from episoderank.episodes import (
     Episode,
     EpisodeError,
+    StrictnessError,
+    addable,
     describe,
     is_proper_superepisode_same_vertices,
+    is_strict,
     make_episode,
     parallel,
+    prefix_graphs,
     serial,
     strictify,
+    vertex_set_label,
 )
 from episoderank.machine import Machine, build_machine
 from episoderank.miner import CandidateSet
@@ -91,9 +97,65 @@ def load_sequences_by_line(path: str) -> tuple[Dataset, int]:
 def out_edges(machine: Machine) -> list[list[int]]:
     """Indices of each state's outgoing edges, in edge order."""
     found: list[list[int]] = [[] for _ in range(machine.num_states)]
-    for idx, e in enumerate(machine.edges):
-        found[e.src].append(idx)
+    for idx, src in enumerate(machine.edge_src.tolist()):
+        found[src].append(idx)
     return found
+
+
+@dataclass(frozen=True)
+class MachineEdge:
+    src: int
+    dst: int
+    label: str
+    vertex: int  # vertex added by this transition
+
+
+class EdgeListMachine:
+    """The per-episode machine that shape skeletons replaced: its own states
+    and one ``MachineEdge`` per edge, in (source state, added vertex) order,
+    with the boosted edge sets, masks and rendering computed edge by edge."""
+
+    def __init__(self, episode: Episode):
+        if not is_strict(episode):
+            raise StrictnessError("machine construction requires a strict episode")
+        self.episode = episode
+        self.states = prefix_graphs(episode)
+        index = {mask: i for i, mask in enumerate(self.states)}
+        preds = episode.predecessor_masks()
+        self.edges = [MachineEdge(i, index[mask | 1 << v], episode.labels[v], v)
+                      for i, mask in enumerate(self.states) for v in addable(preds, mask)]
+        self.source, self.sink = 0, len(self.states) - 1
+
+    def block_prefix(self, w_mask: int) -> frozenset[int]:
+        return frozenset(idx for idx, e in enumerate(self.edges)
+                         if self.states[e.src] & w_mask and (1 << e.vertex) & w_mask)
+
+    def block_super(self, stricter: Episode) -> frozenset[int]:
+        if not is_proper_superepisode_same_vertices(self.episode, stricter):
+            raise ValueError("second episode must be a proper same-vertex superepisode")
+        preds = stricter.predecessor_masks()
+        closed = [all(preds[v] & ~mask == 0 for v in range(stricter.n) if mask >> v & 1)
+                  for mask in self.states]
+        return frozenset(idx for idx, e in enumerate(self.edges)
+                         if e.src != self.source and closed[e.src]
+                         and preds[e.vertex] & ~self.states[e.src] == 0)
+
+    def boost_masks(self, spec: PartitionSpec, collapsed: CollapsedAlphabet) -> np.ndarray:
+        masks = np.zeros((2, len(self.states), collapsed.size), dtype=bool)
+        for layer, edge_set in enumerate((spec.c1, spec.c2)):
+            for idx in edge_set:
+                e = self.edges[idx]
+                masks[layer, e.src, collapsed.class_of(e.label)] = True
+        return masks
+
+    def render(self) -> str:
+        lines = [f"machine: {len(self.states)} states, {len(self.edges)} edges"]
+        for i, mask in enumerate(self.states):
+            tag = " (source)" if i == self.source else (" (sink)" if i == self.sink else "")
+            lines.append(f"  state {i} {vertex_set_label(self.episode, mask)}{tag}")
+        for idx, e in enumerate(self.edges):
+            lines.append(f"  edge {idx}: {e.src} -{e.label}-> {e.dst}")
+        return "\n".join(lines)
 
 
 def brute_force_covers(episode: Episode, sequence: Sequence[str]) -> bool:
@@ -151,20 +213,21 @@ def block_super_by_machine(machine: Machine, stricter: Episode) -> frozenset[int
         raise ValueError("second episode must be a proper same-vertex superepisode")
     other = build_machine(stricter)
     state_of = {mask: i for i, mask in enumerate(machine.states)}
-    edge_by_src_vertex = {(e.src, e.vertex): idx for idx, e in enumerate(machine.edges)}
+    edge_by_src_vertex = {pair: idx for idx, pair in enumerate(
+        zip(machine.edge_src.tolist(), machine.edge_vertex.tolist()))}
     picked = []
-    for e in other.edges:
-        src_mask = other.states[e.src]
+    for src, vertex in zip(other.edge_src.tolist(), other.edge_vertex.tolist()):
+        src_mask = other.states[src]
         if src_mask == 0:
             continue
-        picked.append(edge_by_src_vertex[(state_of[src_mask], e.vertex)])
+        picked.append(edge_by_src_vertex[(state_of[src_mask], vertex)])
     return frozenset(picked)
 
 
 def transitions(machine: Machine) -> list[dict[str, int]]:
     """Each state's next state per outgoing edge label."""
-    return [{machine.edges[idx].label: machine.edges[idx].dst for idx in idxs}
-            for idxs in out_edges(machine)]
+    labels, dst = machine.edge_labels, machine.edge_dst
+    return [{labels[idx]: int(dst[idx]) for idx in idxs} for idxs in out_edges(machine)]
 
 
 def induced(episode: Episode, vertices: Iterable[int]) -> Episode:
@@ -216,10 +279,11 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
         collapsed = collapse_alphabet(machine.episode)
     S, K, star = machine.num_states, collapsed.size, collapsed.star
     table: list[dict[int, int]] = [{} for _ in range(S)]
-    for e in machine.edges:
-        lid = dataset.alphabet.id_of(e.label)
+    for src, label, dst in zip(machine.edge_src.tolist(), machine.edge_labels,
+                               machine.edge_dst.tolist()):
+        lid = dataset.alphabet.id_of(label)
         if lid is not None:
-            table[e.src][lid] = e.dst
+            table[src][lid] = dst
     label_ids = {dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
     class_of = [collapsed.class_of(sym) for sym in dataset.alphabet.symbols]
 
@@ -292,12 +356,13 @@ def sequence_log_prob(machine: Machine, params: ModelParams, spec: PartitionSpec
 def transition_rates_from_probs(machine: Machine,
                                 label_probs: dict[str, float]) -> tuple[np.ndarray, np.ndarray]:
     """Stay and per-edge probabilities from directly given label probabilities."""
-    edge_p = np.zeros(len(machine.edges))
+    edge_p = np.zeros(len(machine.edge_src))
     stay = np.ones(machine.num_states)
+    labels = machine.edge_labels
     for state, idxs in enumerate(out_edges(machine)):
         acc = 0.0
         for idx in idxs:
-            p = label_probs.get(machine.edges[idx].label, 0.0)
+            p = label_probs.get(labels[idx], 0.0)
             edge_p[idx] = p
             acc += p
         stay[state] = 1.0 - acc

@@ -89,7 +89,7 @@ def test_criterion_1_worked_example_coefficients():
     stay, edge_p = transition_rates_from_probs(m, probs)
     expected_stay = [1.0 - 0.4, 1.0 - (0.3 + 0.2), 1.0 - 0.2, 1.0 - 0.3, 1.0 - 0.06, 1.0]
     incoming = {
-        s: {(e.src, edge_p[i]) for i, e in enumerate(m.edges) if e.dst == s}
+        s: {(m.edge_src[i].item(), edge_p[i]) for i in np.flatnonzero(m.edge_dst == s)}
         for s in range(m.num_states)
     }
     expected_incoming = {
@@ -108,7 +108,7 @@ def test_criterion_2_edge_set_goldens():
     m = fig_machine()
 
     def pairs(edge_set):
-        return {(m.edges[i].src, m.edges[i].dst) for i in edge_set}
+        return {(m.edge_src[i].item(), m.edge_dst[i].item()) for i in edge_set}
 
     rows_ok = True
     golden = {
@@ -125,7 +125,7 @@ def test_criterion_2_edge_set_goldens():
     s2 = pairs(block_super(m, serial(["a", "c", "b", "d"]))) == {(1, 3), (3, 4), (4, 5)}
 
     chain = build_machine(serial("abc"))
-    w_ac = {(chain.edges[i].src, chain.edges[i].dst)
+    w_ac = {(chain.edge_src[i].item(), chain.edge_dst[i].item())
             for i in block_prefix(chain, 0b101)} == {(2, 3)}
 
     _report(2, [
@@ -163,7 +163,7 @@ def test_criterion_4_reach_probability_oracle():
         u[col.star] = 0.0
         from episoderank.model import ModelParams
 
-        edges = list(range(len(m.edges)))
+        edges = list(range(len(m.edge_src)))
         rng.shuffle(edges)
         spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
         params = ModelParams(col, u, float(rng.normal()), float(rng.normal()), col.star)
@@ -186,7 +186,7 @@ def test_criterion_5_gradient_and_concavity():
         col = collapse_alphabet(ep)
         n = rng.integers(0, 30, size=(m.num_states, col.size)).astype(float)
         stats = StateStats(col, n.sum(axis=1), n)
-        edges = list(range(len(m.edges)))
+        edges = list(range(len(m.edge_src)))
         rng.shuffle(edges)
         spec = PartitionSpec(frozenset(edges[: len(edges) // 2][:3]),
                              frozenset(edges[len(edges) // 2:][:3]))

@@ -175,6 +175,21 @@ class TestLoadMatchesTheLineReader:
         path.write_bytes(text.encode("utf-8"))
         assert_loads_as_by_line(path, caplog)
 
+    @pytest.mark.parametrize("read_chars", [None, 1, 3, 7])
+    def test_one_line_longer_than_ten_chunks(self, read_chars, tmp_path, caplog, monkeypatch):
+        # a chunk ends at a separator, so a line spans many chunks; its token
+        # count carries over from each chunk to the next
+        if read_chars is not None:
+            monkeypatch.setattr(datagen, "READ_CHARS", read_chars)
+        rng = np.random.default_rng(2026)
+        block = "".join(random_corpus(rng) for _ in range(4)).replace("\r", " ").replace("\n", " ")
+        line = block * (10 * datagen.READ_CHARS // len(block) + 1)
+        path = tmp_path / "corpus.txt"
+        for text in (line, line + "\n", "a b\n" + line + "\r\nc\n\n"):
+            path.write_bytes(text.encode("utf-8"))
+            assert_loads_as_by_line(path, caplog)
+        assert load_sequences(str(path)).num_sequences == 3
+
     def test_separators_are_every_split_character(self):
         # the table stops at U+3000; no whitespace lies above it
         assert sorted(map(chr, datagen._SPACES)) == WHITESPACE
@@ -201,8 +216,10 @@ def test_label_order_is_the_stable_argsort(count):
     assert np.array_equal(label_order(labels, count), expected)
     ds = Dataset(datagen.Alphabet(map(str, range(count))), labels,
                  np.array([0, len(labels)], dtype=np.int64))
+    positions, starts = ds.label_index()
     for label in (0, 1, count - 1):
-        assert np.array_equal(ds.positions_of(label), np.flatnonzero(labels == label))
+        assert np.array_equal(positions[starts[label]:starts[label + 1]],
+                              np.flatnonzero(labels == label))
 
 
 class TestGenerate:

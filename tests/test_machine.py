@@ -1,8 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from episoderank.datagen import Alphabet
 from episoderank.episodes import (
+    CycleError,
+    Episode,
     is_proper_superepisode_same_vertices,
+    is_strict,
     make_episode,
     parallel,
     prefix_graphs,
@@ -16,6 +22,7 @@ from episoderank.machine import (
     render_machine,
     support,
 )
+from episoderank.model import PartitionSpec, collapse_alphabet
 
 from conftest import (
     all_sequences,
@@ -24,10 +31,12 @@ from conftest import (
     random_strict_episode,
 )
 from oracles import (
+    EdgeListMachine,
     block_super_by_machine,
     brute_force_covers,
     covers,
     greedy,
+    identity_collapse,
     induced,
     out_edges,
 )
@@ -38,26 +47,28 @@ def diamond():
 
 
 def edge_pairs(machine: Machine, edge_set) -> set[tuple[int, int]]:
-    return {(machine.edges[i].src, machine.edges[i].dst) for i in edge_set}
+    return {(machine.edge_src[i].item(), machine.edge_dst[i].item()) for i in edge_set}
 
 
 class TestBuild:
     def test_diamond_machine(self):
         m = build_machine(diamond())
         assert m.num_states == 6
-        assert [e.label for e in m.edges] == ["a", "b", "c", "c", "b", "d"]
-        assert [(e.src, e.dst) for e in m.edges] == [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
+        assert m.edge_labels == ["a", "b", "c", "c", "b", "d"]
+        assert list(zip(m.edge_src.tolist(), m.edge_dst.tolist())) == \
+            [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
         assert m.source == 0 and m.sink == 5
 
     def test_single_vertex(self):
         m = build_machine(serial("a"))
-        assert m.num_states == 2 and len(m.edges) == 1 and m.edges[0].label == "a"
+        assert m.num_states == 2 and len(m.edge_src) == 1 and m.edge_labels[0] == "a"
 
     def test_parallel_pair(self):
         m = build_machine(parallel("ab"))
-        assert m.num_states == 4 and len(m.edges) == 4
-        out_of_source = sorted(e.label for e in m.edges if e.src == m.source)
-        into_sink = sorted(e.label for e in m.edges if e.dst == m.sink)
+        assert m.num_states == 4 and len(m.edge_src) == 4
+        labels = m.edge_labels
+        out_of_source = sorted(labels[i] for i in np.flatnonzero(m.edge_src == m.source))
+        into_sink = sorted(labels[i] for i in np.flatnonzero(m.edge_dst == m.sink))
         assert out_of_source == ["a", "b"] and into_sink == ["a", "b"]
 
     def test_unique_edge_labels_per_state(self):
@@ -66,8 +77,8 @@ class TestBuild:
         for _ in range(1000):
             m = build_machine(random_strict_episode(rng, "abc", 5))
             for state in range(m.num_states):
-                out = [m.edges[i].label for i in out_edges(m)[state]]
-                inc = [e.label for e in m.edges if e.dst == state]
+                out = [m.edge_labels[i] for i in out_edges(m)[state]]
+                inc = [m.edge_labels[i] for i in np.flatnonzero(m.edge_dst == state)]
                 assert len(out) == len(set(out)) and len(inc) == len(set(inc))
 
 
@@ -174,7 +185,7 @@ class TestBlockPrefix:
                 c1 = block_prefix(m, w)
                 c2 = block_prefix(m, full ^ w)
                 assert not c1 & c2
-                assert all(m.edges[i].src != m.source for i in c1 | c2)
+                assert all(m.edge_src[i] != m.source for i in c1 | c2)
 
     def test_non_prefix_splits_leave_a_stuck_state(self):
         # a bipartition with neither side ancestor-closed always produces a
@@ -224,8 +235,8 @@ class TestBlockSuper:
         edge_set = block_super(m, serial("ab"))
         assert len(edge_set) == 1
         (idx,) = edge_set
-        e = m.edges[idx]
-        assert m.states[e.src] == 0b01 and e.dst == m.sink and e.label == "b"
+        assert m.states[m.edge_src[idx]] == 0b01 and m.edge_dst[idx] == m.sink
+        assert m.edge_labels[idx] == "b"
 
     def test_surjection_and_full_translation(self):
         rng = np.random.default_rng(31)
@@ -242,7 +253,7 @@ class TestBlockSuper:
             other = build_machine(h)
             # every state of the stricter machine is a state here
             assert set(other.states) <= set(m.states)
-            non_source = sum(1 for e in other.edges if other.states[e.src] != 0)
+            non_source = sum(1 for src in other.edge_src.tolist() if other.states[src] != 0)
             assert len(block_super(m, h)) == non_source
 
     def test_matches_the_stricter_machine_on_every_pair(self):
@@ -273,3 +284,70 @@ class TestRender:
             "  edge 0: 0 -a-> 1\n"
             "  edge 1: 1 -b-> 2"
         )
+
+
+class TestSkeletonAgainstEdgeLists:
+    """``build_machine`` (a shape skeleton plus labels) against the
+    per-episode machine with one ``MachineEdge`` per edge, on every strict DAG
+    shape of up to 4 vertices."""
+
+    @staticmethod
+    def shapes(n: int) -> list[frozenset]:
+        """Every closed DAG edge set on n vertices."""
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        found = set()
+        for bits in range(1 << len(pairs)):
+            try:
+                ep = make_episode([str(v) for v in range(n)],
+                                  [pairs[k] for k in range(len(pairs)) if bits >> k & 1])
+            except CycleError:
+                continue
+            found.add(ep.edges)
+        return sorted(found, key=sorted)
+
+    @staticmethod
+    def episode(row: tuple[str, ...], edges: frozenset) -> Episode | None:
+        """The episode of a label row on a shape, if it is strict and canonical."""
+        ep = Episode(row, edges)
+        return ep if is_strict(ep) and make_episode(row, edges) == ep else None
+
+    def test_every_shape_and_label_row(self):
+        alphabet = Alphabet(["b", "a", "c", "y"])  # "d" and "z" are absent
+        checked = supers = 0
+        for n in range(5):
+            shapes = self.shapes(n)
+            assert len(shapes) == [1, 1, 3, 19, 219][n]  # the posets on n labelled vertices
+            # distinct labels, repeated ones, and "z", absent from the corpus
+            rows = dict.fromkeys([tuple("abcd"[:n]),
+                                  *itertools.combinations_with_replacement("abz", n)])
+            for edges, row in itertools.product(shapes, rows):
+                ep = self.episode(row, edges)
+                if ep is None:
+                    continue
+                m, want = build_machine(ep), EdgeListMachine(ep)
+                assert m.states == want.states
+                assert m.edge_src.tolist() == [e.src for e in want.edges]
+                assert m.edge_dst.tolist() == [e.dst for e in want.edges]
+                assert m.edge_vertex.tolist() == [e.vertex for e in want.edges]
+                assert m.edge_labels == [e.label for e in want.edges]
+                assert (m.source, m.sink) == (want.source, want.sink)
+                assert render_machine(m) == want.render()
+                full = (1 << n) - 1
+                specs = []
+                for w in m.states:
+                    c1, c2 = block_prefix(m, w), block_prefix(m, full ^ w)
+                    assert (c1, c2) == (want.block_prefix(w), want.block_prefix(full ^ w))
+                    specs.append(PartitionSpec(c1, c2))
+                for stricter in shapes:
+                    h = self.episode(row, stricter) if edges < stricter else None
+                    if h is not None:
+                        got = block_super(m, h)
+                        assert got == want.block_super(h), (ep, h)
+                        specs.append(PartitionSpec(got, frozenset()))
+                        supers += 1
+                for collapsed in (collapse_alphabet(ep), identity_collapse(alphabet)):
+                    for spec in specs:
+                        assert np.array_equal(m.boost_masks(spec, collapsed),
+                                              want.boost_masks(spec, collapsed)), (ep, spec)
+                checked += 1
+        assert (checked, supers) == (633, 5150)

@@ -60,7 +60,7 @@ def random_instance(rng, max_vertices=4):
     ep = random_strict_episode(rng, "ab", max_vertices)
     m = build_machine(ep)
     col = collapse_alphabet(ep)
-    edges = list(range(len(m.edges)))
+    edges = list(range(len(m.edge_src)))
     rng.shuffle(edges)
     half = len(edges) // 2
     spec = PartitionSpec(frozenset(edges[:half][:3]), frozenset(edges[half:][:3]))
@@ -264,7 +264,7 @@ class TestConditionalProb:
     def test_sink_uses_base_distribution(self):
         m = build_machine(serial("ab"))
         col = CollapsedAlphabet(("a", "b", "*"), 2, {"a": 0, "b": 1})
-        spec = PartitionSpec(frozenset(range(len(m.edges))), frozenset())
+        spec = PartitionSpec(frozenset(range(len(m.edge_src))), frozenset())
         params = ModelParams(col, np.zeros(3), 3.0, 0.0, 2)
         assert conditional_label_prob(params, m, spec, m.sink, "a") == pytest.approx(1 / 3)
 
@@ -272,7 +272,7 @@ class TestConditionalProb:
         m = build_machine(serial("ab"))
         col = CollapsedAlphabet(("a", "b", "*"), 2, {"a": 0, "b": 1})
         # boost the b-edge out of state {a}
-        (b_edge,) = [i for i, e in enumerate(m.edges) if e.label == "b"]
+        (b_edge,) = [i for i, lab in enumerate(m.edge_labels) if lab == "b"]
         spec = PartitionSpec(frozenset([b_edge]), frozenset())
         params = ModelParams(col, np.zeros(3), math.log(2.0), 0.0, 2)
         assert conditional_label_prob(params, m, spec, 1, "b") == pytest.approx(0.5)
@@ -453,7 +453,7 @@ class TestFit:
             stats = collect_statistics(m, ds)[0]
             base = log_likelihood(stats, coords(fit(m, EMPTY_SPEC, stats)),
                                   m.boost_masks(EMPTY_SPEC, stats.collapsed))
-            edges = list(range(len(m.edges)))
+            edges = list(range(len(m.edge_src)))
             rng.shuffle(edges)
             spec = PartitionSpec(frozenset(edges[: len(edges) // 2]), frozenset())
             fitted = log_likelihood(stats, coords(fit(m, spec, stats)),
@@ -596,7 +596,7 @@ class TestReachStep:
         for ep in (serial("abcd"), strictify(parallel(["a", "a", "b"])), diamond()):
             m = build_machine(ep)
             stats = collect_statistics(m, ds)[0]
-            edges = list(range(len(m.edges)))
+            edges = list(range(len(m.edge_src)))
             rng.shuffle(edges)
             half = len(edges) // 2
             boosted = PartitionSpec(frozenset(edges[:half]), frozenset(edges[half:]))
@@ -617,7 +617,7 @@ class TestReachStep:
         machines = [build_machine(ep) for ep in (serial("abcd"), diamond(), serial("abcd"))]
         params, specs = [], []
         for m in machines:
-            edges = list(range(len(m.edges)))
+            edges = list(range(len(m.edge_src)))
             rng.shuffle(edges)
             params.append(random_params(rng, collapse_alphabet(m.episode), t_scale=2.0))
             specs.append(PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4])))
@@ -668,7 +668,7 @@ class TestReach:
         assert stay.tolist() == [1.0 - 0.4, 1.0 - (0.3 + 0.2), 1.0 - 0.2,
                                  1.0 - 0.3, 1.0 - 0.06, 1.0]
         incoming = {
-            s: {(e.src, edge_p[i]) for i, e in enumerate(m.edges) if e.dst == s}
+            s: {(m.edge_src[i].item(), edge_p[i]) for i in np.flatnonzero(m.edge_dst == s)}
             for s in range(m.num_states)
         }
         assert incoming[4] == {(2, 0.2), (3, 0.3)}
@@ -695,7 +695,7 @@ class TestReach:
             m = build_machine(ep)
             col = collapse_alphabet(ep)
             params = random_params(rng, col)
-            edges = list(range(len(m.edges)))
+            edges = list(range(len(m.edge_src)))
             rng.shuffle(edges)
             spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
             table = reach_table(m, *transition_rates(m, params, spec), range(5))

@@ -588,6 +588,13 @@ class TestBatches:
         # labels absent from the corpus, a repeated label and a DAG beside the mined ones
         extra = [("absent", serial(["zz", "a"])), ("twice", serial("aa")),
                  ("diamond", make_episode(list("knml"), [(0, 1), (0, 2), (1, 3), (2, 3)]))]
+        # many episodes of one shape, so that batches tile one skeleton: with
+        # repeated labels, with labels absent from the corpus, and both
+        extra += [("aab", serial("aab")), ("aa|b", make_episode("aab", [(0, 1)])),
+                  ("zz|zz", serial(["zz", "zz"])), ("zz-zy", serial(["zz", "zy"]))]
+        for x in "abcdefkn":
+            extra += [(f"zz-{x}", serial(["zz", x])), (f"{x}|zz", parallel([x, "zz"])),
+                      (f"{x}-{x}-zz", serial([x, x, "zz"])), (f"{x}-{x}-e", serial([x, x, "e"]))]
         for eid, ep in extra:
             candidates.add(eid, ep)
         return ds, candidates
