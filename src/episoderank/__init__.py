@@ -20,7 +20,6 @@ from .machine import (
     block_prefix,
     block_super,
     build_machine,
-    support,
 )
 from .miner import CandidateSet, merge_serial_intersections, mine_parallel, mine_serial
 from .model import (
@@ -32,6 +31,7 @@ from .model import (
     fit,
     gradient_hessian,
     log_likelihood,
+    support,
 )
 from .ranking import (
     RankResult,

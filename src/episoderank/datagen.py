@@ -46,9 +46,6 @@ class Alphabet:
             self._ids[symbol] = sid
         return sid
 
-    def id_of(self, symbol: str) -> int | None:
-        return self._ids.get(symbol)
-
     def ids_of(self, symbols: Iterable[str]) -> np.ndarray:
         """The id of each symbol, -1 for a symbol not interned."""
         ids = self._ids.get
@@ -89,12 +86,10 @@ class Dataset:
         return len(self.tokens)
 
     def length_counts(self) -> dict[int, int]:
-        """Number of sequences of each length, keyed in order of first appearance."""
+        """Number of sequences of each length, keyed by ascending length."""
         if self._length_counts is None:
-            lengths, first, counts = np.unique(np.diff(self.offsets), return_index=True,
-                                               return_counts=True)
-            order = np.argsort(first)
-            self._length_counts = dict(zip(lengths[order].tolist(), counts[order].tolist()))
+            lengths, counts = np.unique(np.diff(self.offsets), return_counts=True)
+            self._length_counts = dict(zip(lengths.tolist(), counts.tolist()))
         return self._length_counts
 
     @property

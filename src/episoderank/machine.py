@@ -10,8 +10,9 @@ skeleton plus the episode: its label row gives edge ``i`` the label of vertex
 strict episodes the outgoing labels of every state are distinct, which makes
 the greedy walk (follow a matching edge if one exists, otherwise stay)
 deterministic, and a sequence matches the episode exactly when the walk over
-the whole sequence ends in the sink state. The walk itself is ``model.walk``,
-over a disjoint union of machines; ``support`` is re-exported from there.
+the whole sequence ends in the sink state. The walk itself is ``model.walk``
+and a model's boost masks are ``model.boost_masks``, both over a disjoint
+union of machines.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .episodes import (
     prefix_graphs,
     vertex_set_label,
 )
-from .model import support  # noqa: F401
 
 STATE_CAP = 65_536
 
@@ -65,8 +65,7 @@ class Skeleton:
 
 class Machine:
     """Automaton for one strict episode: the skeleton of its shape and the
-    episode, whose labels the edges carry. It caches nothing: the edge classes
-    and boost masks are computed on each call, which a fit makes once."""
+    episode, whose labels the edges carry."""
 
     def __init__(self, skeleton: Skeleton, episode: Episode):
         if not is_strict(episode):
@@ -87,21 +86,6 @@ class Machine:
     def edge_labels(self) -> list[str]:
         """The label of every edge: its added vertex's."""
         return [self.episode.labels[v] for v in self.edge_vertex.tolist()]
-
-    def edge_classes(self, collapsed) -> np.ndarray:
-        """Model class of every edge label under a collapsed alphabet."""
-        return np.array([collapsed.class_of(lab) for lab in self.episode.labels],
-                        dtype=np.intp)[self.edge_vertex]
-
-    def boost_masks(self, spec, collapsed) -> np.ndarray:
-        """``bool[2, S, K]``: True where state H has an outgoing edge labelled
-        k in C1 (layer 0) or C2 (layer 1)."""
-        edge_cls = self.edge_classes(collapsed)
-        masks = np.zeros((2, self.num_states, collapsed.size), dtype=bool)
-        for layer, edge_set in enumerate((spec.c1, spec.c2)):
-            idx = list(edge_set)
-            masks[layer, self.edge_src[idx], edge_cls[idx]] = True
-        return masks
 
 
 def build_machine(episode: Episode) -> Machine:

@@ -14,11 +14,11 @@ are collapsed into one catch-all class; this shrinks the parameter dimension
 from |alphabet|+2 to at most |episode|+3 without changing any fitted
 probability the rank depends on.
 
-The walk, the transition rates and the reach recursion run on a
-:class:`MachineUnion`, a disjoint union of machines with every member's states
-at an offset, so that one call serves a whole batch of episodes; a single
-machine is the union of one. Each member's numbers are exactly what it gets
-alone.
+The walk, the boost masks, the transition rates and the reach recursion run on
+a :class:`MachineUnion`, a disjoint union of machines with every member's
+states at an offset, so that one call serves a whole batch of episodes; a
+single machine is the union of one. Each member's numbers are exactly what it
+gets alone.
 """
 
 from __future__ import annotations
@@ -114,9 +114,9 @@ class MachineUnion:
     member order. Members of one shape share a skeleton, whose arrays are
     tiled at the members' offsets. ``source`` and ``sink`` hold each member's
     global source and sink (a machine's source is its first state and its
-    sink its last), ``edge_member`` the member of every edge, and
-    ``edge_vertex`` the vertex every edge adds, numbered along the members'
-    label rows joined.
+    sink its last), ``edge_start`` each member's first edge, ``edge_member``
+    the member of every edge, and ``edge_vertex`` the vertex every edge adds,
+    numbered along the members' label rows joined.
     """
 
     def __init__(self, members: Sequence[Machine]):
@@ -132,6 +132,7 @@ class MachineUnion:
         self.num_states = int(self.offsets[-1])
         self.source = self.offsets[:-1]
         self.sink = self.offsets[1:] - 1
+        self.edge_start = np.cumsum(edges) - edges
         self.edge_member = np.repeat(np.arange(len(self.members)), edges)
         tile = _ranges((np.cumsum(shape[:, 1]) - shape[:, 1])[kind], edges)
         shift = self.offsets[self.edge_member]
@@ -149,6 +150,28 @@ class MachineUnion:
     def edge_classes(self, collapsed: Sequence[CollapsedAlphabet]) -> np.ndarray:
         """Every edge's class under its member's collapsed alphabet."""
         return self.vertex_classes(collapsed)[self.edge_vertex]
+
+
+def boost_masks(union: MachineUnion, specs: Sequence[PartitionSpec],
+                collapsed: Sequence[CollapsedAlphabet]) -> np.ndarray:
+    """``bool[2, S, K]`` over the union's states, K the largest class count:
+    True where state H has an outgoing edge of class k in its member's C1
+    (layer 0) or C2 (layer 1).
+
+    A spec numbers the edges of its own member, whose first edge is the
+    member's ``edge_start``. The columns past a member's class count stay
+    False.
+    """
+    masks = np.zeros((2, union.num_states, max((c.size for c in collapsed), default=1)),
+                     dtype=bool)
+    boosted = [(spec, lo) for spec, lo in zip(specs, union.edge_start.tolist())
+               if spec.c1 or spec.c2]
+    if boosted:  # (a batch of plain models needs no edge class)
+        edge_cls = union.edge_classes(collapsed)
+        for layer, edge_set in enumerate(("c1", "c2")):
+            idx = [lo + e for spec, lo in boosted for e in getattr(spec, edge_set)]
+            masks[layer, union.edge_src[idx], edge_cls[idx]] = True
+    return masks
 
 
 def _join(arrays) -> np.ndarray:
@@ -253,7 +276,7 @@ def walk(union: MachineUnion, dataset: Dataset, collapsed: Sequence[CollapsedAlp
         ends = dataset.offsets[seq[heads] + 1]  # end of each unit's sequence
         tail = ends - pos[last] - 1
         star = np.array([c.star for c in collapsed], dtype=np.intp)
-        ev, un = need[member], need[unit_member]
+        ev, un = np.flatnonzero(need[member]), np.flatnonzero(need[unit_member])
         row, unit_row = before[ev] * K, state[un] * K
         # one bincount: each event in its class, the gaps before it and the
         # tail after a unit's last event in the catch-all class
@@ -348,7 +371,7 @@ def _log_normalize(z: np.ndarray) -> np.ndarray:
 def log_likelihood(stats: StateStats, x: np.ndarray, masks: np.ndarray) -> float:
     """Sum over states of ``n . log p(. | H)`` at the K+2 coordinates ``x``:
     the per-class weights in class order, then the two transition boosts.
-    ``masks`` is ``Machine.boost_masks(spec, collapsed)``."""
+    ``masks`` is :func:`boost_masks` of the machine's one-member union."""
     return float((stats.n * log_conditionals(x[:-2], x[-2], x[-1], masks)).sum())
 
 
@@ -462,7 +485,7 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats) -> ModelParams
     u, pinned = _class_weights([collapsed], totals, closed_form=spec.is_empty)[0]
     if spec.is_empty:
         return ModelParams(collapsed, u, 0.0, 0.0, pinned)
-    masks = machine.boost_masks(spec, collapsed)
+    masks = boost_masks(MachineUnion([machine]), [spec], [collapsed])
     x = np.concatenate([u, [0.0, 0.0]])
 
     # coordinates allowed to move: observed classes but the pinned one, boosts with edges
@@ -502,66 +525,66 @@ def fit(machine: Machine, spec: PartitionSpec, stats: StateStats) -> ModelParams
 
 # --- reach probabilities ----------------------------------------------------------
 
-def transition_rates(machine: Machine | MachineUnion, params,
-                     spec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state stay probability and per-edge traversal probability.
+def transition_rates(union: MachineUnion, params: Sequence[ModelParams],
+                     specs: Sequence[PartitionSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-state stay probability and per-edge traversal probability of every
+    member of ``union``, under its fitted ``params`` and its ``spec``.
 
-    Takes one machine with its fitted ``params`` and ``spec``, or a
-    :class:`MachineUnion` with a sequence of each, one per member. A member
-    whose spec boosts nothing has one distribution for every state, a row of
-    ``u``; such members with equal class counts share one
-    :func:`_log_normalize` call, which sums every row's terms in the same
-    order as for a row alone.
+    A state's conditionals are the row ``u + t1 B1 + t2 B2`` normalized, with
+    the masks of :func:`boost_masks`; a member whose spec boosts nothing is the
+    case t1 = t2 = 0 with no mask set. Only the states that an edge leaves
+    need a row. Those of the members of one class count gather their rows at
+    once and share one :func:`_log_normalize` call, which sums every row's
+    terms in the same order as for a row alone, so each member gets the rates
+    it gets alone.
     """
-    if not isinstance(machine, MachineUnion):
-        machine, params, spec = MachineUnion([machine]), [params], [spec]
-    union = machine
-    edge_cls = union.edge_classes([p.collapsed for p in params])
-    edge_p = np.empty(len(edge_cls))
-    plain: dict[int, list[int]] = {}  # class count -> members boosting nothing
-    for i, (m, p, s) in enumerate(zip(union.members, params, spec)):
-        if s.is_empty:
-            plain.setdefault(p.collapsed.size, []).append(i)
-        else:
-            on = union.edge_member == i
-            log_p = log_conditionals(p.u, p.t1, p.t2, m.boost_masks(s, p.collapsed))
-            edge_p[on] = np.exp(log_p[m.edge_src, edge_cls[on]])
-    row = np.zeros(len(union.members), dtype=np.intp)  # member's row in its class count's batch
-    for members in plain.values():
-        row[members] = np.arange(len(members))
-        on = np.isin(union.edge_member, members)
-        log_p = _log_normalize(np.stack([params[i].u for i in members]))
-        edge_p[on] = np.exp(log_p[row[union.edge_member[on]], edge_cls[on]])
+    collapsed = [p.collapsed for p in params]
+    masks = boost_masks(union, specs, collapsed)
+    count = len(params)
+    sizes = np.fromiter((c.size for c in collapsed), dtype=np.intp, count=count)
+    u = np.concatenate([np.empty(0), *(p.u for p in params)])
+    first = np.cumsum(sizes) - sizes  # of each member's weights in u
+    t1 = np.fromiter((p.t1 for p in params), dtype=float, count=count)[:, None]
+    t2 = np.fromiter((p.t2 for p in params), dtype=float, count=count)[:, None]
+    # edges ascend by source state, so a state's first edge starts a run
+    leaves = _run_starts(union.edge_src)
+    states, owner = union.edge_src[leaves], union.edge_member[leaves]
+    log_p = np.empty(masks.shape[1:])
+    for K in np.unique(sizes).tolist():
+        group = sizes[owner] == K
+        at, who = states[group], owner[group]
+        z = (u[first[who][:, None] + np.arange(K)] + t1[who] * masks[0, at, :K]
+             + t2[who] * masks[1, at, :K])
+        log_p[at, :K] = _log_normalize(z)
+    edge_p = np.exp(log_p[union.edge_src, union.edge_classes(collapsed)])
     leave = np.bincount(union.edge_src, weights=edge_p, minlength=union.num_states)
     return np.maximum(1.0 - leave, 0.0), edge_p
 
 
-def reach_table(machine: Machine | MachineUnion, stay: np.ndarray, edge_p: np.ndarray,
+def reach_table(union: MachineUnion, stay: np.ndarray, edge_p: np.ndarray,
                 lengths: Sequence[int]) -> np.ndarray:
     """Distribution over states of the greedy walk after each of ``lengths`` events.
 
     ``lengths`` ascend from 0 or more; row ``i`` of the ``[len(lengths), S]``
     result is the distribution after ``lengths[i]`` events. It solves
     ``p(H, k) = stay_H p(H, k-1) + sum over incoming edges of p(edge)
-    p(src, k-1)`` from the point mass on the source (on every member's
-    source, for a union), one rolling state vector stepped up to the last
-    length; only the rows asked for are kept. A step is one ``bincount`` over
-    all self-loops and then all edges, which adds each state's terms in that
-    order: the stay term first, then the incoming edges in edge order. So a
-    member of a union gets the columns it gets alone, bit for bit.
+    p(src, k-1)`` from the point mass on every member's source, one rolling
+    state vector stepped up to the last length; only the rows asked for are
+    kept. A step is one ``bincount`` over all self-loops and then all edges,
+    which adds each state's terms in that order: the stay term first, then
+    the incoming edges in edge order. So a member of a union gets the columns
+    it gets alone, bit for bit.
     """
-    if not isinstance(machine, MachineUnion):
-        machine = MachineUnion([machine])
     if np.any(np.diff(lengths, prepend=0) < 0):
         raise ValueError("reach_table lengths must be non-negative and ascend")
-    S = machine.num_states
+    S = union.num_states
     loops = np.arange(S)
-    src = np.concatenate((loops, machine.edge_src))
-    dst = np.concatenate((loops, machine.edge_dst))
+    src = np.concatenate((loops, union.edge_src))
+    dst = np.concatenate((loops, union.edge_dst))
     weight = np.concatenate((stay, edge_p))
     table = np.empty((len(lengths), S))
     state = np.zeros(S)
-    state[machine.source] = 1.0
+    state[union.source] = 1.0
     done = 0
     for row, k in enumerate(lengths):
         for _ in range(k - done):

@@ -302,26 +302,23 @@ def rank_models(union: MachineUnion, params: list[ModelParams], specs: list[Part
     probability of a sequence depends only on its length: it is the sink
     entry of one reach pass over the union, which keeps the rows at the
     corpus's distinct lengths only. The expected support and its variance are
-    summed one length at a time in ``length_counts`` order, for all members
-    at once. Each member then uses the Poisson approximation when its
-    expected support is small (at most 10), the corrected normal
-    approximation otherwise, or the exact Poisson-binomial law on request;
-    each tail is one call for all the members that use it.
+    summed one length at a time in ascending order, for all members at once.
+    Each member then uses the Poisson approximation when its expected support
+    is small (at most 10), the corrected normal approximation otherwise, or
+    the exact Poisson-binomial law on request; each tail is one call for all
+    the members that use it.
     """
-    counts = dataset.length_counts()  # keyed in order of first appearance
-    lengths = sorted(counts)
+    counts = dataset.length_counts()  # keyed by ascending length
     stay, edge_p = transition_rates(union, params, specs)
-    sink = reach_table(union, stay, edge_p, lengths)[:, union.sink]  # [lengths, members]
-    row = {k: r for r, k in enumerate(lengths)}
+    sink = reach_table(union, stay, edge_p, list(counts))[:, union.sink]  # [lengths, members]
     mu = sigma2 = np.zeros(len(union.members))
-    for k, c in counts.items():
-        p = sink[row[k]]
+    for p, c in zip(sink, counts.values()):
         mu = mu + c * p
         sigma2 = sigma2 + c * p * (1.0 - p)
     observed = np.asarray(observed, dtype=np.int64)
     if exact:
         methods = np.full(len(mu), "exact")
-        log_surv = tail_exact(sink.T, observed, [counts[k] for k in lengths])
+        log_surv = tail_exact(sink.T, observed, list(counts.values()))
     else:
         poisson = mu <= POISSON_MU_MAX
         methods = np.where(poisson, "poisson", "normal")

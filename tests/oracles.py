@@ -42,6 +42,7 @@ from episoderank.model import (
     PartitionSpec,
     StateStats,
     MachineUnion,
+    boost_masks,
     collapse_alphabet,
     gradient_hessian,
     log_conditionals,
@@ -279,12 +280,12 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
         collapsed = collapse_alphabet(machine.episode)
     S, K, star = machine.num_states, collapsed.size, collapsed.star
     table: list[dict[int, int]] = [{} for _ in range(S)]
-    for src, label, dst in zip(machine.edge_src.tolist(), machine.edge_labels,
-                               machine.edge_dst.tolist()):
-        lid = dataset.alphabet.id_of(label)
-        if lid is not None:
+    for src, lid, dst in zip(machine.edge_src.tolist(),
+                             dataset.alphabet.ids_of(machine.edge_labels).tolist(),
+                             machine.edge_dst.tolist()):
+        if lid >= 0:
             table[src][lid] = dst
-    label_ids = {dataset.alphabet.id_of(lab) for lab in machine.episode.labels}
+    label_ids = set(dataset.alphabet.ids_of(machine.episode.labels).tolist()) - {-1}
     class_of = [collapsed.class_of(sym) for sym in dataset.alphabet.symbols]
 
     c_acc = [0] * S
@@ -322,6 +323,12 @@ def sequential_statistics(machine: Machine, dataset: Dataset,
     return StateStats(collapsed, np.array(c_acc, dtype=float), np.array(n_acc, dtype=float)), covered
 
 
+def masks_of(machine: Machine, spec: PartitionSpec, collapsed: CollapsedAlphabet) -> np.ndarray:
+    """The ``bool[2, S, K]`` boost masks of one machine: ``model.boost_masks``
+    of its one-member union."""
+    return boost_masks(MachineUnion([machine]), [spec], [collapsed])
+
+
 def coords(params: ModelParams) -> np.ndarray:
     """The K+2 coordinates of ``params`` that the likelihood and its
     derivatives take: the class weights, then t1 and t2."""
@@ -330,7 +337,7 @@ def coords(params: ModelParams) -> np.ndarray:
 
 def _log_p(params: ModelParams, machine: Machine, spec: PartitionSpec) -> np.ndarray:
     return log_conditionals(params.u, params.t1, params.t2,
-                            machine.boost_masks(spec, params.collapsed))
+                            masks_of(machine, spec, params.collapsed))
 
 
 def conditional_label_prob(params: ModelParams, machine: Machine, spec: PartitionSpec,
@@ -401,7 +408,7 @@ def newton_independence(machine: Machine, stats: StateStats,
     u[observed] = np.log(totals[observed] / totals[pinned])
     free = observed.copy()
     free[pinned] = False
-    masks = machine.boost_masks(EMPTY_SPEC, collapsed)
+    masks = masks_of(machine, EMPTY_SPEC, collapsed)
     for _ in range(50):
         grad, hess = gradient_hessian(stats, np.concatenate([u, [0.0, 0.0]]), masks)
         step = np.linalg.solve(-hess[:-2, :-2][np.ix_(free, free)], grad[:-2][free])

@@ -24,11 +24,11 @@ from episoderank.machine import (
     block_prefix,
     block_super,
     build_machine,
-    support,
 )
 from episoderank.miner import CandidateSet, mine_parallel, mine_serial
 from episoderank.model import (
     EMPTY_SPEC,
+    MachineUnion,
     PartitionSpec,
     StateStats,
     collapse_alphabet,
@@ -37,6 +37,7 @@ from episoderank.model import (
     gradient_hessian,
     log_likelihood,
     reach_table,
+    support,
     transition_rates,
 )
 from episoderank.ranking import (
@@ -54,6 +55,7 @@ from oracles import (
     brute_force_covers,
     covers,
     greedy,
+    masks_of,
     rank,
     sequence_log_prob,
     transition_rates_from_probs,
@@ -168,7 +170,8 @@ def test_criterion_4_reach_probability_oracle():
         spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
         params = ModelParams(col, u, float(rng.normal()), float(rng.normal()), col.star)
         n = 5
-        table = reach_table(m, *transition_rates(m, params, spec), range(n + 1))
+        union = MachineUnion([m])
+        table = reach_table(union, *transition_rates(union, [params], [spec]), range(n + 1))
         exact = np.zeros(m.num_states)
         for seq in itertools.product(col.classes, repeat=n):
             exact[greedy(m, seq)] += math.exp(sequence_log_prob(m, params, spec, seq))
@@ -190,7 +193,7 @@ def test_criterion_5_gradient_and_concavity():
         rng.shuffle(edges)
         spec = PartitionSpec(frozenset(edges[: len(edges) // 2][:3]),
                              frozenset(edges[len(edges) // 2:][:3]))
-        masks = m.boost_masks(spec, col)
+        masks = masks_of(m, spec, col)
 
         for _ in range(10):
             x = np.concatenate([rng.normal(size=col.size), [rng.normal(), rng.normal()]])

@@ -19,7 +19,8 @@ from episoderank.datagen import (
     save_dataset,
 )
 from episoderank.episodes import serial
-from episoderank.machine import build_machine, support
+from episoderank.machine import build_machine
+from episoderank.model import support
 
 from conftest import dataset_from_strings
 from oracles import load_sequences_by_line, rows, symbol_rows
@@ -79,11 +80,12 @@ class TestLoadSave:
         save_dataset(load_sequences(str(out)), str(again))
         assert again.read_bytes() == out.read_bytes()
 
-    def test_length_counts_keep_first_appearance_order(self):
-        # the key order fixes the summation order of the expected support
+    def test_length_counts_ascend_by_length(self):
+        # the key order fixes the summation order of the expected support and
+        # is the order of the reach rows
         ds = dataset_from_strings(["abc", "a", "", "xyz", "ab", "b", "", "c"])
         counts = ds.length_counts()
-        assert list(counts.items()) == [(3, 2), (1, 3), (0, 2), (2, 1)]
+        assert list(counts.items()) == [(0, 2), (1, 3), (2, 1), (3, 2)]
         assert ds.num_sequences == 8 and ds.total_events == 11
 
     def test_missing_file(self):
@@ -236,7 +238,7 @@ class TestGenerate:
     def test_contiguous_when_gapless(self, full_plant):
         # planted labels only come from plants, so a covering sequence holds
         # the 4 pattern events contiguously somewhere
-        ids = [full_plant.alphabet.id_of(lab) for lab in "abcd"]
+        ids = full_plant.alphabet.ids_of("abcd").tolist()
         found = 0
         for seq in rows(full_plant):
             if all(i in seq for i in ids):
@@ -272,7 +274,7 @@ class TestGenerate:
     def test_gap_probability_spreads_pattern(self):
         cfg = default_config("gap", seed=4, num_sequences=2000, gap_p=0.5)
         ds = generate(cfg)
-        ids = [ds.alphabet.id_of(lab) for lab in "abcd"]
+        ids = ds.alphabet.ids_of("abcd").tolist()
         gaps = []
         for seq in rows(ds):
             positions = [i for i, s in enumerate(seq) if s in set(ids)]
@@ -305,12 +307,12 @@ class TestGenerate:
     def test_noise_disjoint_from_planted_labels(self):
         ds = generate(default_config("plant", seed=8, num_sequences=500, counts=(10, 4, 2)))
         planted = set("abcdefklmn")
-        planted_ids = {ds.alphabet.id_of(x) for x in planted} - {None}
+        planted_ids = set(ds.alphabet.ids_of(planted).tolist()) - {-1}
         counts = {pid: 0 for pid in planted_ids}
         for seq in rows(ds):
             for sid in seq:
                 if sid in counts:
                     counts[sid] += 1
         # each planted label appears exactly once per successful occurrence
-        a_id = ds.alphabet.id_of("a")
+        (a_id,) = ds.alphabet.ids_of("a").tolist()
         assert counts[a_id] == 10

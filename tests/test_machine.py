@@ -20,9 +20,14 @@ from episoderank.machine import (
     block_super,
     build_machine,
     render_machine,
+)
+from episoderank.model import (
+    MachineUnion,
+    PartitionSpec,
+    boost_masks,
+    collapse_alphabet,
     support,
 )
-from episoderank.model import PartitionSpec, collapse_alphabet
 
 from conftest import (
     all_sequences,
@@ -345,9 +350,12 @@ class TestSkeletonAgainstEdgeLists:
                         assert got == want.block_super(h), (ep, h)
                         specs.append(PartitionSpec(got, frozenset()))
                         supers += 1
+                # one union holds the machine once for each spec
+                union = MachineUnion([m] * len(specs))
                 for collapsed in (collapse_alphabet(ep), identity_collapse(alphabet)):
-                    for spec in specs:
-                        assert np.array_equal(m.boost_masks(spec, collapsed),
+                    masks = boost_masks(union, specs, [collapsed] * len(specs))
+                    for spec, lo, hi in zip(specs, union.offsets, union.offsets[1:]):
+                        assert np.array_equal(masks[:, lo:hi],
                                               want.boost_masks(spec, collapsed)), (ep, spec)
                 checked += 1
         assert (checked, supers) == (633, 5150)

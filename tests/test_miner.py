@@ -6,13 +6,14 @@ import pytest
 from episoderank import miner
 from episoderank.datagen import default_config, generate
 from episoderank.episodes import episode_line, make_episode, parallel, serial, strictify
-from episoderank.machine import build_machine, support
+from episoderank.machine import build_machine
 from episoderank.miner import (
     CandidateSet,
     merge_serial_intersections,
     mine_parallel,
     mine_serial,
 )
+from episoderank.model import support
 
 from conftest import dataset_from_strings, random_strict_episode
 from oracles import (

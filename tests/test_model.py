@@ -12,7 +12,7 @@ from episoderank.datagen import (
 )
 from episoderank import model
 from episoderank.episodes import make_episode, parallel, serial, strictify
-from episoderank.machine import Machine, block_prefix, block_super, build_machine
+from episoderank.machine import block_prefix, block_super, build_machine
 from episoderank.model import (
     EMPTY_SPEC,
     GRAD_TOL,
@@ -41,6 +41,7 @@ from oracles import (
     coords,
     greedy,
     identity_collapse,
+    masks_of,
     newton_independence,
     rank,
     reach_table_by_add_at,
@@ -74,6 +75,29 @@ def random_params(rng, col, t_scale=1.0):
     u[col.star] = 0.0
     return ModelParams(col, u, float(rng.normal(scale=t_scale)),
                        float(rng.normal(scale=t_scale)), col.star)
+
+
+def mixed_members(rng):
+    """Machines, params and specs of a union's members: every class count from
+    2 to 9 (from 8 classes on, NumPy sums a row pairwise), each machine twice,
+    once plain and once boosted, with the plain and boosted members
+    interleaved."""
+    machines, params, specs = [], [], []
+    for k in range(1, 9):
+        edges = [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.3]
+        m = build_machine(make_episode(list("abcdefgh"[:k]), edges))
+        col = collapse_alphabet(m.episode)
+        order = list(range(len(m.edge_src)))
+        rng.shuffle(order)
+        third = len(order) // 3
+        boosted = PartitionSpec(frozenset(order[:third]), frozenset(order[third:2 * third]))
+        plain = ModelParams(col, random_params(rng, col).u, 0.0, 0.0, col.star)
+        models = [(plain, EMPTY_SPEC), (random_params(rng, col, t_scale=2.0), boosted)]
+        for p, spec in models[::-1] if k % 2 else models:
+            machines.append(m)
+            params.append(p)
+            specs.append(spec)
+    return machines, params, specs
 
 
 class TestCollapse:
@@ -284,7 +308,7 @@ class TestLikelihood:
         col = CollapsedAlphabet(("a", "*"), 1, {"a": 0})
         stats = StateStats(col, np.zeros(2), np.zeros((2, 2)))
         x = np.array([1.0, 0.0, 0.0, 0.0])
-        assert log_likelihood(stats, x, m.boost_masks(EMPTY_SPEC, col)) == 0.0
+        assert log_likelihood(stats, x, masks_of(m, EMPTY_SPEC, col)) == 0.0
 
     def test_single_state_closed_form(self):
         m = build_machine(serial("a"))
@@ -294,7 +318,7 @@ class TestLikelihood:
         stats = StateStats(col, n.sum(axis=1), n)
         x = np.array([math.log(3.0), 0.0, 0.0, 0.0])
         expected = 3 * math.log(0.75) + math.log(0.25)
-        ll = log_likelihood(stats, x, m.boost_masks(EMPTY_SPEC, col))
+        ll = log_likelihood(stats, x, masks_of(m, EMPTY_SPEC, col))
         assert ll == pytest.approx(expected, abs=1e-12)
 
     def test_matches_eventwise_evaluation(self):
@@ -308,7 +332,7 @@ class TestLikelihood:
         spec = PartitionSpec(frozenset([0]), frozenset([1]))
         params = random_params(rng, col)
         eventwise = sum(sequence_log_prob(m, params, spec, seq) for seq in symbol_rows(ds))
-        ll = log_likelihood(stats, coords(params), m.boost_masks(spec, col))
+        ll = log_likelihood(stats, coords(params), masks_of(m, spec, col))
         assert ll == pytest.approx(eventwise, abs=1e-9)
 
 
@@ -318,7 +342,7 @@ class TestGradientHessian:
         for _ in range(10):
             m, spec, stats = random_instance(rng)
             x = coords(random_params(rng, stats.collapsed))
-            masks = m.boost_masks(spec, stats.collapsed)
+            masks = masks_of(m, spec, stats.collapsed)
             grad, hess = gradient_hessian(stats, x, masks)
             h = 1e-5
 
@@ -344,7 +368,7 @@ class TestGradientHessian:
         nz = totals > 0
         u[nz] = np.log(totals[nz]) - np.log(totals[0])
         x = np.concatenate([u, [0.0, 0.0]])
-        grad, _ = gradient_hessian(stats, x, m.boost_masks(EMPTY_SPEC, col))
+        grad, _ = gradient_hessian(stats, x, masks_of(m, EMPTY_SPEC, col))
         assert np.abs(grad[:-2]).max() < 1e-9
 
     def test_hessian_matches_central_differences_of_gradient(self):
@@ -353,7 +377,7 @@ class TestGradientHessian:
         for _ in range(20):
             m, spec, stats = random_instance(rng)
             x = coords(random_params(rng, stats.collapsed))
-            masks = m.boost_masks(spec, stats.collapsed)
+            masks = masks_of(m, spec, stats.collapsed)
             _, hess = gradient_hessian(stats, x, masks)
 
             def grad_at(tweak):
@@ -372,7 +396,7 @@ class TestGradientHessian:
         for _ in range(20):
             m, spec, stats = random_instance(rng)
             x = coords(random_params(rng, stats.collapsed, t_scale=2.0))
-            _, hess = gradient_hessian(stats, x, m.boost_masks(spec, stats.collapsed))
+            _, hess = gradient_hessian(stats, x, masks_of(m, spec, stats.collapsed))
             assert np.linalg.eigvalsh(hess).max() <= 1e-8
 
     def test_class_shift_is_a_null_direction(self):
@@ -381,7 +405,7 @@ class TestGradientHessian:
         for _ in range(20):
             m, spec, stats = random_instance(rng)
             x = coords(random_params(rng, stats.collapsed, t_scale=2.0))
-            masks = m.boost_masks(spec, stats.collapsed)
+            masks = masks_of(m, spec, stats.collapsed)
             grad, hess = gradient_hessian(stats, x, masks)
             K = stats.collapsed.size
             shift = np.concatenate([np.ones(K), [0.0, 0.0]])
@@ -423,7 +447,7 @@ class TestFit:
         # the independence likelihood in closed form
         nz = totals > 0
         expected_ll = float((totals[nz] * np.log(freq[nz])).sum())
-        masks = m.boost_masks(EMPTY_SPEC, stats.collapsed)
+        masks = masks_of(m, EMPTY_SPEC, stats.collapsed)
         assert log_likelihood(stats, coords(params), masks) == pytest.approx(expected_ll)
 
     def test_gapless_inner_edges_saturate_t1(self):
@@ -452,12 +476,12 @@ class TestFit:
             m = build_machine(ep)
             stats = collect_statistics(m, ds)[0]
             base = log_likelihood(stats, coords(fit(m, EMPTY_SPEC, stats)),
-                                  m.boost_masks(EMPTY_SPEC, stats.collapsed))
+                                  masks_of(m, EMPTY_SPEC, stats.collapsed))
             edges = list(range(len(m.edge_src)))
             rng.shuffle(edges)
             spec = PartitionSpec(frozenset(edges[: len(edges) // 2]), frozenset())
             fitted = log_likelihood(stats, coords(fit(m, spec, stats)),
-                                    m.boost_masks(spec, stats.collapsed))
+                                    masks_of(m, spec, stats.collapsed))
             assert fitted >= base - 1e-9
 
     def test_deterministic(self):
@@ -493,20 +517,20 @@ class TestFit:
         monkeypatch.setattr(model, "gradient_hessian", counting)
         params = fit(m, spec, stats)
         assert len(calls) < MAX_ITER
-        grad, _ = original(stats, coords(params), m.boost_masks(spec, col))
+        grad, _ = original(stats, coords(params), masks_of(m, spec, col))
         assert np.abs(grad).max() < GRAD_TOL
 
     def test_boosted_fit_builds_its_masks_once(self, monkeypatch):
         rng = np.random.default_rng(29)
         m, spec, stats = random_instance(rng)
         calls = []
-        original = Machine.boost_masks
+        original = model.boost_masks
 
-        def counting(self, *args):
+        def counting(*args):
             calls.append(1)
-            return original(self, *args)
+            return original(*args)
 
-        monkeypatch.setattr(Machine, "boost_masks", counting)
+        monkeypatch.setattr(model, "boost_masks", counting)
         iterations = []
         newton = model.gradient_hessian
 
@@ -526,7 +550,7 @@ class TestFit:
             m, spec, stats = random_instance(rng)
             col = stats.collapsed
 
-            masks = m.boost_masks(spec, col)
+            masks = masks_of(m, spec, col)
 
             def ll(params):
                 return log_likelihood(stats, coords(params), masks)
@@ -572,7 +596,7 @@ class TestIndependenceClosedForm:
             stats = collect_statistics(m, dataset, collapsed)[0]
             params = fit(m, EMPTY_SPEC, stats)
             grad, _ = gradient_hessian(stats, coords(params),
-                                       m.boost_masks(EMPTY_SPEC, stats.collapsed))
+                                       masks_of(m, EMPTY_SPEC, stats.collapsed))
             observed = stats.n.sum(axis=0) > 0
             # floored classes may only press against the floor
             assert np.abs(grad[:-2][observed]).max() < 1e-9 * stats.c.sum()
@@ -600,18 +624,20 @@ class TestReachStep:
             rng.shuffle(edges)
             half = len(edges) // 2
             boosted = PartitionSpec(frozenset(edges[:half]), frozenset(edges[half:]))
+            one = MachineUnion([m])
             for spec in (EMPTY_SPEC, boosted):
                 params = fit(m, spec, stats)
-                stay, edge_p = transition_rates(m, params, spec)
-                assert np.array_equal(reach_table(m, stay, edge_p, range(41)),
+                stay, edge_p = transition_rates(one, [params], [spec])
+                assert np.array_equal(reach_table(one, stay, edge_p, range(41)),
                                       reach_table_by_add_at(m, stay, edge_p, 40))
             params = random_params(rng, stats.collapsed, t_scale=2.0)
-            stay, edge_p = transition_rates(m, params, boosted)
-            assert np.array_equal(reach_table(m, stay, edge_p, range(41)),
+            stay, edge_p = transition_rates(one, [params], [boosted])
+            assert np.array_equal(reach_table(one, stay, edge_p, range(41)),
                                   reach_table_by_add_at(m, stay, edge_p, 40))
 
     def test_scattered_lengths_keep_those_rows_bit_for_bit(self):
-        # a single machine, then a union that repeats one machine under two models
+        # a one-member union, then a union that repeats one machine under two
+        # models, then one that mixes class counts and plain and boosted members
         rng = np.random.default_rng(23)
         lengths = [0, 3, 17, 40]
         machines = [build_machine(ep) for ep in (serial("abcd"), diamond(), serial("abcd"))]
@@ -621,9 +647,9 @@ class TestReachStep:
             rng.shuffle(edges)
             params.append(random_params(rng, collapse_alphabet(m.episode), t_scale=2.0))
             specs.append(PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4])))
-        m = machines[1]
-        stay, edge_p = transition_rates(m, params[1], specs[1])
-        table = reach_table(m, stay, edge_p, lengths)
+        m, one = machines[1], MachineUnion(machines[1:2])
+        stay, edge_p = transition_rates(one, params[1:2], specs[1:2])
+        table = reach_table(one, stay, edge_p, lengths)
         assert table.shape == (len(lengths), m.num_states)
         assert np.array_equal(table, reach_table_by_add_at(m, stay, edge_p, 40)[lengths])
 
@@ -636,27 +662,51 @@ class TestReachStep:
             alone = reach_table_by_add_at(m, stay[lo:hi], edge_p[union.edge_member == i], 40)
             assert np.array_equal(table[:, lo:hi], alone[lengths])
 
+        machines, params, specs = mixed_members(rng)
+        union = MachineUnion(machines)
+        stay, edge_p = transition_rates(union, params, specs)
+        table = reach_table(union, stay, edge_p, lengths)
+        for i, m in enumerate(machines):
+            lo, hi = union.offsets[i:i + 2]
+            one = MachineUnion([m])
+            stay_i, edge_i = transition_rates(one, params[i:i + 1], specs[i:i + 1])
+            assert np.array_equal(stay[lo:hi], stay_i)
+            assert np.array_equal(edge_p[union.edge_member == i], edge_i)
+            assert np.array_equal(table[:, lo:hi], reach_table(one, stay_i, edge_i, lengths))
+
     def test_lengths_must_ascend(self):
         m = build_machine(diamond())
+        one = MachineUnion([m])
         stay, edge_p = transition_rates_from_probs(m, TestReach.WORKED_PROBS)
         for lengths in ([3, 1], [-1, 2]):
             with pytest.raises(ValueError, match="ascend"):
-                reach_table(m, stay, edge_p, lengths)
-        twice = reach_table(m, stay, edge_p, [2, 2])
+                reach_table(one, stay, edge_p, lengths)
+        twice = reach_table(one, stay, edge_p, [2, 2])
         assert np.array_equal(twice[0], twice[1])
 
     def test_independence_rates_match_the_masked_path(self):
-        # the empty spec's one-row conditionals equal every row of the masked ones
+        # the rates of every member equal those of its own masked conditionals
         rng = np.random.default_rng(22)
         for _ in range(20):
             ep = random_strict_episode(rng, "abcdefghij", 12)
             m = build_machine(ep)
+            one = MachineUnion([m])
             col = collapse_alphabet(ep)
             params = random_params(rng, col, t_scale=3.0)
             log_p = model.log_conditionals(params.u, 0.0, 0.0,
-                                           m.boost_masks(EMPTY_SPEC, col))
-            edge_p = np.exp(log_p[m.edge_src, m.edge_classes(col)])
-            assert np.array_equal(transition_rates(m, params, EMPTY_SPEC)[1], edge_p)
+                                           masks_of(m, EMPTY_SPEC, col))
+            edge_p = np.exp(log_p[m.edge_src, one.edge_classes([col])])
+            assert np.array_equal(transition_rates(one, [params], [EMPTY_SPEC])[1], edge_p)
+
+        machines, params, specs = mixed_members(rng)
+        union = MachineUnion(machines)
+        edge_p = transition_rates(union, params, specs)[1]
+        for i, (m, p, spec) in enumerate(zip(machines, params, specs)):
+            one = MachineUnion([m])
+            log_p = model.log_conditionals(p.u, p.t1, p.t2, masks_of(m, spec, p.collapsed))
+            alone = np.exp(log_p[m.edge_src, one.edge_classes([p.collapsed])])
+            assert np.array_equal(edge_p[union.edge_member == i], alone)
+            assert np.array_equal(transition_rates(one, [p], [spec])[1], alone)
 
 
 class TestReach:
@@ -677,13 +727,13 @@ class TestReach:
     def test_length_zero_is_point_mass(self):
         m = build_machine(diamond())
         stay, edge_p = transition_rates_from_probs(m, self.WORKED_PROBS)
-        table = reach_table(m, stay, edge_p, range(1))
+        table = reach_table(MachineUnion([m]), stay, edge_p, range(1))
         assert table[0, m.source] == 1.0 and table[0].sum() == 1.0
 
     def test_slices_are_distributions_and_sink_monotone(self):
         m = build_machine(diamond())
         stay, edge_p = transition_rates_from_probs(m, self.WORKED_PROBS)
-        table = reach_table(m, stay, edge_p, range(41))
+        table = reach_table(MachineUnion([m]), stay, edge_p, range(41))
         assert np.allclose(table.sum(axis=1), 1.0, atol=1e-9)
         sink = table[:, m.sink]
         assert np.all(np.diff(sink) >= -1e-15)
@@ -698,7 +748,8 @@ class TestReach:
             edges = list(range(len(m.edge_src)))
             rng.shuffle(edges)
             spec = PartitionSpec(frozenset(edges[:2]), frozenset(edges[2:4]))
-            table = reach_table(m, *transition_rates(m, params, spec), range(5))
+            one = MachineUnion([m])
+            table = reach_table(one, *transition_rates(one, [params], [spec]), range(5))
             exact = np.zeros(m.num_states)
             for seq in itertools.product(col.classes, repeat=4):
                 exact[greedy(m, seq)] += math.exp(sequence_log_prob(m, params, spec, seq))
@@ -710,7 +761,7 @@ class TestReach:
                                 {lab: i for i, lab in enumerate("abcd")})
         u = np.array([math.log(p) for p in (0.4, 0.3, 0.2, 0.06)] + [math.log(0.04)])
         params = ModelParams(col, u, 0.0, 0.0, 4)
-        stay_m, edge_m = transition_rates(m, params, EMPTY_SPEC)
+        stay_m, edge_m = transition_rates(MachineUnion([m]), [params], [EMPTY_SPEC])
         stay_d, edge_d = transition_rates_from_probs(m, self.WORKED_PROBS)
         assert np.abs(stay_m - stay_d).max() < 1e-15
         assert np.abs(edge_m - edge_d).max() < 1e-15
@@ -722,10 +773,12 @@ class TestReach:
         inner = block_prefix(m, 0b111)
         spec = PartitionSpec(inner, frozenset())
         u = np.array([math.log(0.1)] * 3 + [0.0])
+        one = MachineUnion([m])
         previous = -1.0
         for t1 in [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]:
             params = ModelParams(col, u, t1, 0.0, 3)
-            sink_p = reach_table(m, *transition_rates(m, params, spec), range(13))[12, m.sink]
+            sink_p = reach_table(one, *transition_rates(one, [params], [spec]),
+                                 range(13))[12, m.sink]
             assert sink_p >= previous
             previous = sink_p
 

@@ -6,15 +6,17 @@ import numpy as np
 import pytest
 
 from episoderank.episodes import make_episode, parallel, serial
-from episoderank.machine import build_machine, support
+from episoderank.machine import build_machine
 from episoderank.miner import CandidateSet
 from episoderank.model import (
     EMPTY_SPEC,
     CollapsedAlphabet,
+    MachineUnion,
     ModelParams,
     collect_statistics,
     fit,
     reach_table,
+    support,
     transition_rates,
 )
 from episoderank.ranking import (
@@ -42,7 +44,8 @@ LOG_SURVIVAL_Z5 = -15.064998393988726
 def cover_by_length(machine, params, spec, dataset) -> dict[int, float]:
     """Cover probability of each sequence length: the sink column of one reach table."""
     counts = dataset.length_counts()
-    table = reach_table(machine, *transition_rates(machine, params, spec),
+    union = MachineUnion([machine])
+    table = reach_table(union, *transition_rates(union, [params], [spec]),
                         range(max(counts) + 1))
     return {k: float(table[k, machine.sink]) for k in counts}
 
@@ -79,15 +82,15 @@ class TestCoverProbabilities:
         assert ordered == sorted(ordered)
 
     def test_rank_sums_cover_over_length_classes(self):
-        # mu and sigma2 add the length classes in order of first appearance;
-        # the exact tail convolves them in order of length
+        # mu and sigma2 add the length classes in ascending order, the order
+        # in which the exact tail convolves them
         ds = dataset_from_strings(["abcdabcd", "ab", "abcd", "aabbccdd", "ab", "abcab"])
         m = build_machine(make_episode(["a", "b", "c"], [(0, 2)]))
         stats, observed = collect_statistics(m, ds)
         params = fit(m, EMPTY_SPEC, stats)
         p = cover_by_length(m, params, EMPTY_SPEC, ds)
         counts = ds.length_counts()
-        assert list(counts) == [8, 2, 4, 5]
+        assert list(counts) == [2, 4, 5, 8]
         for exact in (False, True):
             r = rank(m, params, EMPTY_SPEC, ds, observed, exact=exact)
             assert r.mu == sum(c * p[k] for k, c in counts.items())
